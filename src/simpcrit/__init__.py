@@ -56,6 +56,7 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .trees import (
+    BudgetExceededError,
     NotATreeError,
     SpanningTree,
     TreeCensus,

@@ -39,6 +39,7 @@ from .flows import (
 )
 from .trees import (
     DEFAULT_BUDGET,
+    BudgetExceededError,
     NotATreeError,
     TreeHasTorsionError,
     enumerate_trees,
@@ -213,8 +214,12 @@ def _cmd_info(args, comp, source):
 def _cmd_critical_group(args, comp, source):
     _check_dim(comp, args.dim, top_allowed=False)
     warnings = []
+    why = "no torsion-free tree found"
     if args.tree == "auto":
-        tree = find_torsion_free_tree(comp, args.dim)
+        try:
+            tree = find_torsion_free_tree(comp, args.dim)
+        except BudgetExceededError as exc:
+            tree, why = None, str(exc)
     else:
         tree = _resolve_tree(comp, args.dim, args.tree)
     if tree is not None:
@@ -225,7 +230,7 @@ def _cmd_critical_group(args, comp, source):
         group = critical_group_direct(comp, args.dim)
         route = "direct"
         tree_out = None
-        warnings.append("no torsion-free tree found; used the direct route")
+        warnings.append(f"{why}; used the direct route")
     result = {
         "dimension": args.dim,
         "invariant_factors": _factors(group.invariant_factors),
@@ -250,7 +255,6 @@ def _cmd_trees(args, comp, source):
         args.dim,
         budget=args.budget,
         on_tree=keep if args.stream else None,
-        workers=args.workers,
     )
     result = {
         "dimension": args.dim,
@@ -306,8 +310,9 @@ def _cmd_verify_main_thm(args, comp, source):
             found.append(tree)
         return len(found) >= wanted
 
-    enumerate_trees(comp, args.dim, budget=args.budget, on_tree=grab)
-    if not found:
+    census = enumerate_trees(comp, args.dim, budget=args.budget, on_tree=grab)
+    partial = len(found) < wanted and not census.complete
+    if not found and not partial:
         raise TreeHasTorsionError("no torsion-free spanning tree exists")
     rows = []
     all_match = True
@@ -330,8 +335,12 @@ def _cmd_verify_main_thm(args, comp, source):
         "direct_factors": _factors(direct.invariant_factors),
         "direct_free_rank": direct.free_rank,
         "trees": rows,
-        "verdict": "PASS" if all_match else "FAIL",
     }
+    if partial:
+        # the budget ran out before the requested trees were found: no verdict
+        result["complete"] = False
+        return _report("verify main-thm", source, comp, result, census.warnings), EXIT_BUDGET
+    result["verdict"] = "PASS" if all_match else "FAIL"
     return (
         _report("verify main-thm", source, comp, result),
         EXIT_OK if all_match else EXIT_VERIFY,
@@ -575,7 +584,6 @@ def build_parser():
     tr.add_argument("--census", action="store_true", help="census only (default)")
     tr.add_argument("--stream", action="store_true", help="list every tree")
     tr.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    tr.add_argument("--workers", type=int, default=1)
 
     ver = sub.add_parser("verify", help="verify an identity, exit 5 on FAIL")
     vsub = ver.add_subparsers(dest="verify_cmd", required=True)
@@ -670,6 +678,9 @@ def main(argv=None) -> int:
     except (NotATreeError, TreeHasTorsionError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
+    except BudgetExceededError as exc:
+        print(f"warning: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

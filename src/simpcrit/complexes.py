@@ -56,7 +56,7 @@ class HomologyGroup:
 class SimplicialComplex:
     """A finite simplicial complex, immutable after construction."""
 
-    __slots__ = ("dim", "_faces", "_index", "_bd_cache", "_hom_cache")
+    __slots__ = ("dim", "_faces", "_index", "_bd_cache", "_hom_cache", "_nbr_cache")
 
     def __init__(self, faces_by_dim):
         # internal constructor: faces_by_dim maps i -> sorted tuple of faces,
@@ -68,6 +68,7 @@ class SimplicialComplex:
         }
         self._bd_cache = {}
         self._hom_cache = {}
+        self._nbr_cache = None
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
@@ -106,6 +107,16 @@ class SimplicialComplex:
 
     def vertices(self) -> tuple:
         return tuple(f[0] for f in self._faces[0])
+
+    def neighbors(self) -> dict:
+        """Vertex -> sorted tuple of its neighbors in the 1-skeleton."""
+        if self._nbr_cache is None:
+            nbrs = {v: [] for v in self.vertices()}
+            for a, b in self._faces.get(1, ()):
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            self._nbr_cache = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+        return self._nbr_cache
 
     def facets(self) -> tuple:
         """Maximal faces, sorted by dimension then lexicographically."""

@@ -16,7 +16,6 @@ a designated bank vertex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .complexes import SimplicialComplex, make_face
 from .critical import LaplacianKind, laplacian, reduced_laplacian
@@ -153,27 +152,14 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
 # -- graph chip-firing ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _graph(comp: SimplicialComplex):
     """(sorted vertices, neighbor map) of the 1-skeleton."""
     if comp.dim < 1:
         raise ValueError("chip-firing needs a complex with edges")
-    verts = list(comp.vertices())
-    nbrs = {v: [] for v in verts}
-    for a, b in comp.faces(1):
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    # connectivity check: the bank must be able to absorb from everywhere
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(verts):
+    # the bank must be able to absorb from everywhere: H~_0 = 0
+    if comp.reduced_homology(0).betti:
         raise ValueError("the 1-skeleton is disconnected")
-    return tuple(verts), {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+    return comp.vertices(), comp.neighbors()
 
 
 @dataclass(frozen=True)
@@ -204,12 +190,6 @@ class ChipState:
     def non_bank(self):
         verts, _ = _graph(self.complex)
         return tuple(v for v in verts if v != self.bank)
-
-    def chip(self, v):
-        return self.chips[self.non_bank.index(v)]
-
-    def as_dict(self):
-        return dict(zip(self.non_bank, self.chips))
 
     def __add__(self, other):
         if not isinstance(other, ChipState):

@@ -40,13 +40,6 @@ class IntMatrix:
             self.data = data
 
     @classmethod
-    def from_rows(cls, data):
-        data = [list(r) for r in data]
-        if not data:
-            raise ValueError("cannot infer the width of an empty matrix")
-        return cls(len(data), len(data[0]), data)
-
-    @classmethod
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):
@@ -66,9 +59,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i):
-        return list(self.data[i])
 
     def column(self, j):
         return [r[j] for r in self.data]
@@ -376,11 +366,30 @@ def invariant_factors(a: IntMatrix) -> tuple:
     return tuple(d)
 
 
+def _normalize(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+        if g == 1:
+            return v
+    if g > 1:
+        return [x // g for x in v]
+    return v
+
+
+def eliminate(v, b, p):
+    """b[p]*v - v[p]*b divided by its gcd: the fraction-free step that
+    clears position p of v against the pivot b[p] != 0."""
+    a, c = b[p], v[p]
+    return _normalize([a * x - c * y for x, y in zip(v, b)])
+
+
 class Echelon:
     """Incremental integer row-echelon basis for exact rank/span queries.
 
-    Stored vectors are gcd-normalized and kept mutually reduced, so a
-    single ascending pass over the pivots fully reduces a query vector.
+    Stored vectors are gcd-normalized with positive pivots and kept
+    mutually reduced, so a single ascending pass over the pivots fully
+    reduces a query vector.
     """
 
     __slots__ = ("pivots",)
@@ -395,10 +404,8 @@ class Echelon:
     def reduce(self, vec):
         v = list(vec)
         for p, b in self.pivots:
-            c = v[p]
-            if c:
-                a = b[p]
-                v = [a * x - c * y for x, y in zip(v, b)]
+            if v[p]:
+                v = eliminate(v, b, p)
         return v
 
     def insert(self, vec):
@@ -414,29 +421,16 @@ class Echelon:
         v = _normalize(v)
         if v[p] < 0:
             v = [-x for x in v]
-        # keep older vectors reduced at the new pivot
+        # keep older vectors reduced at the new pivot; v vanishes at their
+        # pivots and v[p] > 0, so their pivots stay positive
         for idx, (pk, b) in enumerate(self.pivots):
-            c = b[p]
-            if c:
-                a = v[p]
-                nb = _normalize([a * x - c * y for x, y in zip(b, v)])
-                if nb[pk] < 0:
-                    nb = [-x for x in nb]
-                self.pivots[idx] = (pk, nb)
+            if b[p]:
+                self.pivots[idx] = (pk, eliminate(b, v, p))
         pos = 0
         while pos < len(self.pivots) and self.pivots[pos][0] < p:
             pos += 1
         self.pivots.insert(pos, (p, v))
         return True
-
-
-def _normalize(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        return [x // g for x in v]
-    return v
 
 
 def rank(a: IntMatrix) -> int:

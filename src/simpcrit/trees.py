@@ -16,10 +16,9 @@ restricted boundary matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import Echelon, determinant, invariant_factors, rank
+from .intlinalg import Echelon, determinant, eliminate, invariant_factors, rank
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -51,8 +50,8 @@ class TreeCensus:
     warnings: tuple = ()
 
 
-class _BudgetExceeded(Exception):
-    pass
+class BudgetExceededError(Exception):
+    """The work budget ran out before the search could give its answer."""
 
 
 class _StopStream(Exception):
@@ -131,7 +130,9 @@ def _greedy_tree(comp, i):
 def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
     """A torsion-free i-tree: greedy first, enumeration as a fallback.
 
-    Returns None when no spanning tree is torsion-free (or none exists).
+    Returns None only when the search completed and no spanning tree is
+    torsion-free (or none exists); raises BudgetExceededError when the
+    budget ran out before a torsion-free tree was found.
     """
     tree = _greedy_tree(comp, i)
     if tree is None or tree.torsion_order == 1:
@@ -144,30 +145,27 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
             return True
         return False
 
-    enumerate_trees(comp, i, budget=budget, on_tree=grab)
-    return found[0] if found else None
-
-
-def _normalize(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        return [x // g for x in v]
-    return v
+    census = enumerate_trees(comp, i, budget=budget, on_tree=grab)
+    if found:
+        return found[0]
+    if not census.complete:
+        raise BudgetExceededError(
+            f"enumeration budget of {budget} extensions exceeded "
+            f"before a torsion-free {i}-tree was found"
+        )
+    return None
 
 
 class _EnumState:
-    __slots__ = ("bd", "faces", "need", "budget", "on_tree", "census", "trees")
+    __slots__ = ("bd", "faces", "need", "budget", "on_tree", "census")
 
-    def __init__(self, bd, faces, need, budget, on_tree, census, collect):
+    def __init__(self, bd, faces, need, budget, on_tree, census):
         self.bd = bd
         self.faces = faces
         self.need = need
         self.budget = budget
         self.on_tree = on_tree
         self.census = census
-        self.trees = [] if collect else None
 
 
 def _record(state, chosen):
@@ -185,8 +183,6 @@ def _record(state, chosen):
     c.count += 1
     c.tau += torsion * torsion
     c.torsion_histogram[torsion] = c.torsion_histogram.get(torsion, 0) + 1
-    if state.trees is not None:
-        state.trees.append(tree)
     if state.on_tree is not None and state.on_tree(tree):
         raise _StopStream
 
@@ -212,16 +208,14 @@ def _expand(state, cands, pos, chosen):
     p = 0
     while not vec[p]:
         p += 1
-    a = vec[p]
     child = []
     for pos2 in range(pos + 1, len(cands)):
         state.census.extensions += 1
         if state.census.extensions > state.budget:
-            raise _BudgetExceeded
+            raise BudgetExceededError
         j2, v2 = cands[pos2]
-        c = v2[p]
-        if c:
-            w = _normalize([a * x - c * y for x, y in zip(v2, vec)])
+        if v2[p]:
+            w = eliminate(v2, vec, p)
             if any(w):
                 child.append((j2, w))
         else:
@@ -231,38 +225,9 @@ def _expand(state, cands, pos, chosen):
 
 
 def _root_candidates(bd):
-    cands = []
-    for j in range(bd.cols):
-        col = bd.column(j)
-        if any(col):
-            cands.append((j, _normalize(col)))
-    return cands
-
-
-def _branch_payload(comp, i, pos, budget):
-    return (
-        [row[:] for row in comp.boundary_matrix(i).data],
-        comp.faces(i),
-        required_tree_size(comp, i),
-        i,
-        pos,
-        budget,
-    )
-
-
-def _enumerate_branch(payload):
-    """Worker: enumerate all trees whose smallest face is candidate #pos."""
-    bd_data, faces, need, i, pos, budget = payload
-    from .intlinalg import IntMatrix
-
-    bd = IntMatrix(len(bd_data), len(bd_data[0]) if bd_data else 0, bd_data)
-    census = TreeCensus(dimension=i)
-    state = _EnumState(bd, faces, need, budget, None, census, collect=True)
-    try:
-        _expand(state, _root_candidates(bd), pos, [])
-    except _BudgetExceeded:
-        census.complete = False
-    return census, state.trees
+    # boundary columns have entries 0 and +-1, so they are already primitive
+    cols = (bd.column(j) for j in range(bd.cols))
+    return [(j, col) for j, col in enumerate(cols) if any(col)]
 
 
 def enumerate_trees(
@@ -271,7 +236,6 @@ def enumerate_trees(
     *,
     budget=DEFAULT_BUDGET,
     on_tree=None,
-    workers=1,
 ) -> TreeCensus:
     """Exhaustively enumerate the i-dimensional spanning trees.
 
@@ -294,17 +258,13 @@ def enumerate_trees(
         return census
     need = required_tree_size(comp, i)
     bd = comp.boundary_matrix(i)
-    state = _EnumState(bd, comp.faces(i), need, budget, on_tree, census, collect=False)
-    cands = _root_candidates(bd)
-
-    if need > 0 and workers > 1 and len(cands) > 1:
-        return _enumerate_parallel(comp, i, cands, budget, on_tree, workers)
+    state = _EnumState(bd, comp.faces(i), need, budget, on_tree, census)
     try:
         if need == 0:
             _record(state, [])
         else:
-            _dfs(state, cands, [])
-    except _BudgetExceeded:
+            _dfs(state, _root_candidates(bd), [])
+    except BudgetExceededError:
         census.complete = False
         census.warnings += (
             f"enumeration budget of {budget} extensions exceeded; census is partial",
@@ -313,37 +273,6 @@ def enumerate_trees(
         census.complete = False
         census.warnings += ("enumeration stopped early by the stream callback",)
     return census
-
-
-def _enumerate_parallel(comp, i, cands, budget, on_tree, workers):
-    """Partition the search by the smallest chosen face; merge censuses."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    share = budget // len(cands) + 1
-    payloads = [_branch_payload(comp, i, pos, share) for pos in range(len(cands))]
-    merged = TreeCensus(dimension=i)
-    stopped = False
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for census, trees in pool.map(_enumerate_branch, payloads):
-            merged.count += census.count
-            merged.tau += census.tau
-            merged.extensions += census.extensions
-            for t, n in census.torsion_histogram.items():
-                merged.torsion_histogram[t] = merged.torsion_histogram.get(t, 0) + n
-            merged.complete = merged.complete and census.complete
-            if on_tree is not None and not stopped:
-                for tree in trees:
-                    if on_tree(tree):
-                        stopped = True
-                        break
-    if not merged.complete:
-        merged.warnings += (
-            f"enumeration budget of {budget} extensions exceeded; census is partial",
-        )
-    if stopped:
-        merged.complete = False
-        merged.warnings += ("enumeration stopped early by the stream callback",)
-    return merged
 
 
 @dataclass(frozen=True)
@@ -384,6 +313,7 @@ def verify_smtt(
     form of tau_i, all in exact integer arithmetic (cross-multiplied).
 
     Precomputed censuses may be passed in to avoid re-enumeration.
+    A partial census makes the identities undefined: BudgetExceededError.
     """
     from .critical import pi_product, reduced_laplacian
 
@@ -394,6 +324,9 @@ def verify_smtt(
     if census_prev is None:
         census_prev = enumerate_trees(comp, i - 1, budget=budget)
     warnings = census.warnings + census_prev.warnings
+    for c in (census, census_prev):
+        if not c.complete:
+            raise BudgetExceededError(f"{c.dimension}-tree " + "; ".join(c.warnings))
     if census_prev.tau == 0:
         raise ValueError("tau_{i-1} is zero: the identities are undefined")
     h = comp.reduced_homology(i - 2)

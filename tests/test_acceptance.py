@@ -48,6 +48,18 @@ from simpcrit.trees import (
     verify_smtt,
 )
 
+RP2_FACETS = [
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+]
+
+# (n, p, seed) of seeded Linial-Meshulam 2-complexes whose K_1 carries
+# torsion, most of them with a free part too (e.g. Z^3 + Z/5 + Z/10)
+LM_TORSION = [
+    (6, 0.5, 3), (7, 0.4, 1), (7, 0.5, 3), (8, 0.3, 1), (8, 0.4, 1), (8, 0.5, 2),
+    (9, 0.3, 1), (9, 0.4, 2), (9, 0.5, 2), (10, 0.2, 2), (10, 0.3, 2), (10, 0.5, 1),
+]
+
 BIPYR_REDUCED = [
     [3, -1, -1, 1, 1],
     [-1, 2, 0, -1, 0],
@@ -67,6 +79,14 @@ def big_census(big_skeleton):
     # shared between the SMTT check (criterion 6) and the extended
     # census (criterion 7); about five seconds of enumeration
     return enumerate_trees(big_skeleton, 2)
+
+
+def linial_meshulam(n, p, seed):
+    """All edges on 1..n plus each triangle, in combinations order, kept
+    when random.Random(seed).random() < p."""
+    rng = random.Random(seed)
+    tris = [t for t in combinations(range(1, n + 1), 3) if rng.random() < p]
+    return SimplicialComplex.from_facets(list(combinations(range(1, n + 1), 2)) + tris)
 
 
 def _first_torsion_free_trees(comp, i, want):
@@ -113,7 +133,17 @@ def test_criterion_2_bipyramid_tree_census():
 
 
 def test_criterion_3_main_theorem_oracle_equivalence():
-    fixtures = [bipyramid(), sphere(2), sphere(3)]
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    # H_1(RP^2) = Z/2; its single 2-tree is itself, with torsion 2
+    assert critical_group_direct(rp2, 1).invariant_factors == (2, 2)
+    census = enumerate_trees(rp2, 2)
+    assert (census.count, census.tau, census.torsion_histogram) == (1, 4, {2: 1})
+    lm = [linial_meshulam(*spec) for spec in LM_TORSION]
+    k1 = [critical_group_direct(c, 1) for c in lm]
+    assert all(g.invariant_factors[-1] > 1 for g in k1)
+    assert sum(g.free_rank > 0 for g in k1) == 10
+
+    fixtures = [bipyramid(), sphere(2), sphere(3), rp2] + lm
     fixtures += [simplex_skeleton(n, k) for n in (4, 5, 6) for k in (1, 2) if k <= n - 2]
     rng = random.Random(20260808)
     graphs = 0

@@ -1,6 +1,8 @@
 import json
 
+from simpcrit import cli
 from simpcrit.cli import main
+from simpcrit.trees import find_torsion_free_tree
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +93,24 @@ def test_critical_group_bad_tree_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_critical_group_budget_fallback_names_the_budget(tmp_path, capsys, monkeypatch):
+    # RP^2 plus a tetrahedron: every 2-tree contains RP^2, so the greedy
+    # tree has torsion and the search for a torsion-free one must run
+    path = tmp_path / "rp2_tetra.txt"
+    path.write_text("1 2 3\n1 2 4\n1 3 5\n1 4 6\n1 5 6\n"
+                    "2 3 6\n2 4 5\n2 5 6\n3 4 5\n3 4 6\n5 6 7 8\n")
+    base = ("--facets", str(path), "critical-group", "--dim", "2")
+    code, rep, _ = run_json(capsys, *base)
+    assert code == 0 and rep["result"]["route"] == "direct"
+    assert rep["warnings"] == ["no torsion-free tree found; used the direct route"]
+    monkeypatch.setattr(
+        cli, "find_torsion_free_tree", lambda comp, i: find_torsion_free_tree(comp, i, budget=1))
+    code, rep, _ = run_json(capsys, *base)
+    assert code == 0 and rep["result"]["route"] == "direct"
+    assert len(rep["warnings"]) == 1
+    assert "budget" in rep["warnings"][0] and "no torsion-free" not in rep["warnings"][0]
+
+
 def test_critical_group_dim_range(capsys):
     code, _, err = run_cli(capsys, "--gen", "bipyramid", "critical-group", "--dim", "2")
     assert code == 2
@@ -121,13 +141,6 @@ def test_trees_budget_exit_code(capsys):
     assert rep["warnings"]
 
 
-def test_trees_workers(capsys):
-    code, rep, _ = run_json(
-        capsys, "--gen", "bipyramid", "trees", "--dim", "2", "--workers", "2")
-    assert code == 0
-    assert rep["result"]["count"] == 15
-
-
 # ---- verify --------------------------------------------------------------------------
 
 def test_verify_smtt_pass(capsys):
@@ -138,12 +151,33 @@ def test_verify_smtt_pass(capsys):
     assert rep["result"]["tree_used"]
 
 
+def test_verify_smtt_partial_census_exits_4(capsys):
+    # a partial tau_2, and a partial tau_1 of 0, are budget exits, never
+    # a FAIL verdict or an input error
+    for spec, budget in (("simplex-skeleton 6 2", "1000"), ("bipyramid", "2")):
+        code, out, err = run_cli(
+            capsys, "--gen", spec, "verify", "smtt", "--dim", "2", "--budget", budget, "--json")
+        assert code == 4
+        assert "budget" in err
+        assert "verdict" not in out
+
+
 def test_verify_main_thm(capsys):
     code, rep, _ = run_json(
         capsys, "--gen", "bipyramid", "verify", "main-thm", "--dim", "1", "--trees", "4")
     assert code == 0
     assert rep["result"]["verdict"] == "PASS"
     assert len(rep["result"]["trees"]) == 4
+
+
+def test_verify_main_thm_budget_exits_4(capsys):
+    code, rep, err = run_json(
+        capsys, "--gen", "simplex-skeleton 7 2", "verify", "main-thm", "--dim", "1",
+        "--budget", "3")
+    assert code == 4
+    assert "verdict" not in rep["result"] and rep["result"]["complete"] is False
+    assert any("budget" in w for w in rep["warnings"])
+    assert "hypothesis" not in err
 
 
 def test_verify_sphere_pass_and_fail(capsys):

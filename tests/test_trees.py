@@ -7,6 +7,7 @@ from simpcrit.critical import reduced_laplacian
 from simpcrit.generators import bipyramid, complete_graph, cycle, sphere
 from simpcrit.intlinalg import determinant
 from simpcrit.trees import (
+    BudgetExceededError,
     NotATreeError,
     as_spanning_tree,
     enumerate_trees,
@@ -15,6 +16,11 @@ from simpcrit.trees import (
     required_tree_size,
     verify_smtt,
 )
+
+RP2_FACETS = [
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+]
 
 
 # ---- oracles -------------------------------------------------------------
@@ -177,16 +183,6 @@ def test_stream_early_stop():
     assert not census.complete
 
 
-def test_parallel_census_matches_serial():
-    serial = enumerate_trees(bipyramid(), 2)
-    parallel = enumerate_trees(bipyramid(), 2, workers=2)
-    assert (serial.count, serial.tau, serial.torsion_histogram) == (
-        parallel.count, parallel.tau, parallel.torsion_histogram)
-    s1 = enumerate_trees(cycle(6), 1)
-    p1 = enumerate_trees(cycle(6), 1, workers=3)
-    assert (s1.count, s1.tau) == (p1.count, p1.tau)
-
-
 # ---- torsion-free search -------------------------------------------------------
 
 def test_find_torsion_free_tree_bipyramid_star():
@@ -203,6 +199,15 @@ def test_find_torsion_free_tree_zero_dim():
 def test_find_torsion_free_tree_none_when_disconnected():
     comp = SimplicialComplex.from_facets([(1, 2), (3, 4)])
     assert find_torsion_free_tree(comp, 1) is None
+
+
+def test_find_torsion_free_tree_budget_is_not_absence():
+    # the only 2-tree of RP^2 is RP^2 itself, with torsion 2: a completed
+    # search answers None, an exhausted budget raises instead
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    assert find_torsion_free_tree(rp2, 2) is None
+    with pytest.raises(BudgetExceededError, match="budget"):
+        find_torsion_free_tree(rp2, 2, budget=1)
 
 
 # ---- matrix-tree identities ------------------------------------------------------
@@ -244,8 +249,11 @@ def test_group_order_equals_next_tau():
     from simpcrit.critical import critical_group_direct
     from simpcrit.generators import simplex_skeleton
 
-    for comp in (bipyramid(), sphere(2), simplex_skeleton(5, 2)):
+    # top-dimensional extension counts pin the DFS column reduction
+    for comp, top_extensions in ((bipyramid(), 80), (sphere(2), 9), (simplex_skeleton(5, 2), 593)):
         for i in range(comp.dim):
             assert comp.reduced_homology(i - 1).order == 1
             assert find_torsion_free_tree(comp, i) is not None
-            assert critical_group_direct(comp, i).order == enumerate_trees(comp, i + 1).tau
+            census = enumerate_trees(comp, i + 1)
+            assert critical_group_direct(comp, i).order == census.tau
+        assert census.extensions == top_extensions
