@@ -6,10 +6,8 @@ identity checks, and the chip-firing / face-flow model, all in exact
 integer arithmetic.
 """
 
-from .complexes import Face, HomologyGroup, SimplicialComplex, make_face
+from .complexes import Face, SimplicialComplex, make_face
 from .critical import (
-    CriticalGroup,
-    LaplacianKind,
     alternating_order,
     critical_group_direct,
     critical_group_reduced,
@@ -43,7 +41,7 @@ from .generators import (
     sphere,
 )
 from .intlinalg import (
-    CokernelStructure,
+    AbelianGroup,
     IntMatrix,
     SmithForm,
     char_poly,

@@ -233,8 +233,8 @@ def _cmd_critical_group(args, comp, source):
         warnings.append(f"{why}; used the direct route")
     result = {
         "dimension": args.dim,
-        "invariant_factors": _factors(group.invariant_factors),
-        "free_rank": group.free_rank,
+        "invariant_factors": _factors(group.torsion),
+        "free_rank": group.betti,
         "order": _s(group.order),
         "route": route,
         "tree": tree_out,
@@ -318,22 +318,19 @@ def _cmd_verify_main_thm(args, comp, source):
     all_match = True
     for tree in found:
         g = critical_group_reduced(comp, args.dim, tree)
-        match = (
-            g.invariant_factors == direct.invariant_factors
-            and g.free_rank == direct.free_rank
-        )
+        match = g == direct
         all_match = all_match and match
         rows.append(
             {
                 "faces": [list(f) for f in tree.top_faces],
-                "invariant_factors": _factors(g.invariant_factors),
+                "invariant_factors": _factors(g.torsion),
                 "match": match,
             }
         )
     result = {
         "dimension": args.dim,
-        "direct_factors": _factors(direct.invariant_factors),
-        "direct_free_rank": direct.free_rank,
+        "direct_factors": _factors(direct.torsion),
+        "direct_free_rank": direct.betti,
         "trees": rows,
     }
     if partial:
@@ -360,13 +357,13 @@ def _cmd_verify_sphere(args, comp, source):
             ridge_deg[r] = ridge_deg.get(r, 0) + 1
     pseudo = all(v == 2 for v in ridge_deg.values())
     group = critical_group_direct(comp, d - 1)
-    cyclic = group.free_rank == 0 and len(group.invariant_factors) <= 1
+    cyclic = group.betti == 0 and len(group.torsion) <= 1
     ok = cyclic and group.order == n_facets
     result = {
         "dimension": d,
         "facets": n_facets,
         "pseudomanifold": pseudo,
-        "group": _factors(group.invariant_factors),
+        "group": _factors(group.torsion),
         "group_order": _s(group.order),
         "cyclic": cyclic,
         "verdict": "PASS" if ok else "FAIL",
@@ -410,7 +407,7 @@ def _cmd_verify_alt_product(args, comp, source):
     _check_dim(comp, args.dim, top_allowed=False)
     value = alternating_order(comp, args.dim)
     group = critical_group_direct(comp, args.dim)
-    ok = value.denominator == 1 and group.free_rank == 0 and value == group.order
+    ok = value.denominator == 1 and group.betti == 0 and value == group.order
     result = {
         "dimension": args.dim,
         "alternating_product": str(value),

@@ -14,10 +14,9 @@ Conventions fixed once and used by every matrix in the library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .intlinalg import IntMatrix, invariant_factors, rank
+from .intlinalg import AbelianGroup, IntMatrix, cokernel, rank
 
 Face = tuple
 
@@ -33,30 +32,10 @@ def make_face(vertices) -> Face:
     return tuple(vs)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    """A finitely generated abelian group: free rank plus invariant factors."""
-
-    betti: int
-    torsion: tuple
-
-    @property
-    def order(self):
-        """Order of the torsion part (the whole group when betti = 0)."""
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
-
-    def __str__(self):
-        parts = ["Z"] * self.betti + [f"Z/{t}" for t in self.torsion]
-        return " + ".join(parts) if parts else "0"
-
-
 class SimplicialComplex:
     """A finite simplicial complex, immutable after construction."""
 
-    __slots__ = ("dim", "_faces", "_index", "_bd_cache", "_hom_cache", "_nbr_cache")
+    __slots__ = ("dim", "_faces", "_index", "_memo")
 
     def __init__(self, faces_by_dim):
         # internal constructor: faces_by_dim maps i -> sorted tuple of faces,
@@ -66,9 +45,15 @@ class SimplicialComplex:
         self._index = {
             i: {f: j for j, f in enumerate(faces)} for i, faces in faces_by_dim.items()
         }
-        self._bd_cache = {}
-        self._hom_cache = {}
-        self._nbr_cache = None
+        # derived matrices and groups, keyed by (name, dimension); values
+        # are shared and must not be mutated
+        self._memo = {}
+
+    def _memoized(self, key, build):
+        """build(), computed once per complex and key."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
@@ -110,13 +95,15 @@ class SimplicialComplex:
 
     def neighbors(self) -> dict:
         """Vertex -> sorted tuple of its neighbors in the 1-skeleton."""
-        if self._nbr_cache is None:
+
+        def build():
             nbrs = {v: [] for v in self.vertices()}
             for a, b in self._faces.get(1, ()):
                 nbrs[a].append(b)
                 nbrs[b].append(a)
-            self._nbr_cache = {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
-        return self._nbr_cache
+            return {v: tuple(sorted(ws)) for v, ws in nbrs.items()}
+
+        return self._memoized(("neighbors",), build)
 
     def facets(self) -> tuple:
         """Maximal faces, sorted by dimension then lexicographically."""
@@ -137,13 +124,12 @@ class SimplicialComplex:
         For i = -1 this is the 0 x 1 zero map out of C_{-1}; for i = 0 it
         is the augmentation row (all ones).
         """
-        if i in self._bd_cache:
-            return self._bd_cache[i]
         if not -1 <= i <= self.dim:
             raise ValueError(f"dimension {i} out of range [-1, {self.dim}]")
-        if i == -1:
-            mat = IntMatrix(0, 1)
-        else:
+
+        def build():
+            if i == -1:
+                return IntMatrix(0, 1)
             rows = self._index[i - 1]
             cols = self._faces[i]
             mat = IntMatrix(len(rows), len(cols))
@@ -152,8 +138,9 @@ class SimplicialComplex:
                 for j in range(len(face)):
                     sub = face[:j] + face[j + 1:]
                     data[rows[sub]][c] = -1 if j % 2 else 1
-        self._bd_cache[i] = mat
-        return mat
+            return mat
+
+        return self._memoized(("boundary", i), build)
 
     def coboundary_matrix(self, i) -> IntMatrix:
         """Transpose of the boundary matrix (chains identified with cochains)."""
@@ -161,26 +148,20 @@ class SimplicialComplex:
 
     # -- homology ------------------------------------------------------
 
-    def reduced_homology(self, i) -> HomologyGroup:
-        """Reduced integral homology in dimension i, from Smith forms."""
-        if i in self._hom_cache:
-            return self._hom_cache[i]
+    def reduced_homology(self, i) -> AbelianGroup:
+        """Reduced integral homology in dimension i: the cokernel of
+        boundary_{i+1}, minus the rank of boundary_i from its free part."""
         if not -1 <= i <= self.dim:
             raise ValueError(f"dimension {i} out of range [-1, {self.dim}]")
-        nullity = len(self._faces[i]) - rank(self.boundary_matrix(i))
-        if i < self.dim:
-            facs = invariant_factors(self.boundary_matrix(i + 1))
-            group = HomologyGroup(
-                betti=nullity - len(facs),
-                torsion=tuple(f for f in facs if f > 1),
-            )
-        else:
-            group = HomologyGroup(betti=nullity, torsion=())
-        self._hom_cache[i] = group
-        return group
 
-    def betti(self, i) -> int:
-        return self.reduced_homology(i).betti
+        def build():
+            if i < self.dim:
+                g = cokernel(self.boundary_matrix(i + 1))
+            else:
+                g = AbelianGroup(len(self._faces[i]), ())
+            return AbelianGroup(g.betti - rank(self.boundary_matrix(i)), g.torsion)
+
+        return self._memoized(("homology", i), build)
 
     def is_pure(self) -> bool:
         """True iff every maximal face has the top dimension."""

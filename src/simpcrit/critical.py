@@ -19,13 +19,13 @@ alternating quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import comb
 
 from .complexes import SimplicialComplex
 from .generators import full_simplex
 from .intlinalg import (
+    AbelianGroup,
     IntMatrix,
     cokernel,
     invariant_factors,
@@ -35,56 +35,30 @@ from .intlinalg import (
 from .trees import as_spanning_tree, require_torsion_free
 
 
-class LaplacianKind(str, Enum):
-    UP_DOWN = "up_down"
-    DOWN_UP = "down_up"
-    TOTAL = "total"
+def laplacian(comp: SimplicialComplex, i) -> IntMatrix:
+    """The up-down Laplacian boundary_{i+1} times its transpose on i-chains,
+    an f_i x f_i symmetric matrix built once per complex.
 
-
-@dataclass(frozen=True)
-class CriticalGroup:
-    """Invariant-factor description of a critical group."""
-
-    dimension: int
-    invariant_factors: tuple
-    free_rank: int
-
-    @property
-    def order(self):
-        """Order of the finite part."""
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
-
-    def __str__(self):
-        parts = ["Z"] * self.free_rank + [f"Z/{f}" for f in self.invariant_factors]
-        return " + ".join(parts) if parts else "0"
-
-
-def laplacian(comp: SimplicialComplex, i, kind=LaplacianKind.UP_DOWN) -> IntMatrix:
-    """The combinatorial Laplacian on i-chains, an f_i x f_i symmetric matrix.
-
-    up_down is boundary_{i+1} times its transpose (zero when i is the top
-    dimension); down_up is the transpose of boundary_i times boundary_i.
-    Dimension -1 is allowed: its up-down Laplacian is the 1 x 1 matrix
-    [f_0] coming from the augmentation.
+    It is zero when i is the top dimension.  Dimension -1 is allowed: its
+    Laplacian is the 1 x 1 matrix [f_0] coming from the augmentation.
     """
-    kind = LaplacianKind(kind)
     if not -1 <= i <= comp.dim:
         raise ValueError(f"dimension {i} out of range [-1, {comp.dim}]")
-    n = len(comp.faces(i))
-    if kind is LaplacianKind.TOTAL:
-        return laplacian(comp, i, LaplacianKind.UP_DOWN) + laplacian(
-            comp, i, LaplacianKind.DOWN_UP
-        )
-    if kind is LaplacianKind.UP_DOWN:
+
+    def build():
         if i == comp.dim:
+            n = len(comp.faces(i))
             return IntMatrix(n, n)
         bd = comp.boundary_matrix(i + 1)
         return bd * bd.transpose()
-    bd = comp.boundary_matrix(i)
-    return bd.transpose() * bd
+
+    return comp._memoized(("laplacian", i), build)
+
+
+def _theta_indices(comp: SimplicialComplex, i, tree) -> list:
+    """Indices of the i-faces outside the tree, in lexicographic order."""
+    in_tree = set(tree.top_faces)
+    return [j for j, f in enumerate(comp.faces(i)) if f not in in_tree]
 
 
 def reduced_laplacian(comp: SimplicialComplex, i, tree) -> IntMatrix:
@@ -94,23 +68,19 @@ def reduced_laplacian(comp: SimplicialComplex, i, tree) -> IntMatrix:
     ``tree`` may be a SpanningTree or an iterable of i-faces; it is
     re-validated either way and NotATreeError is raised on failure.
     """
-    tree = as_spanning_tree(comp, i, tree)
-    in_tree = set(tree.top_faces)
-    theta = [j for j, f in enumerate(comp.faces(i)) if f not in in_tree]
-    lap = laplacian(comp, i, LaplacianKind.UP_DOWN)
-    return lap.submatrix(theta, theta)
+    theta = _theta_indices(comp, i, as_spanning_tree(comp, i, tree))
+    return laplacian(comp, i).submatrix(theta, theta)
 
 
-def critical_group_reduced(comp: SimplicialComplex, i, tree) -> CriticalGroup:
+def critical_group_reduced(comp: SimplicialComplex, i, tree) -> AbelianGroup:
     """K_i as the cokernel of the reduced Laplacian of a torsion-free tree."""
     if not 0 <= i < comp.dim:
         raise ValueError(f"dimension {i} out of range [0, {comp.dim})")
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
-    ck = cokernel(reduced_laplacian(comp, i, tree))
-    return CriticalGroup(dimension=i, invariant_factors=ck.torsion, free_rank=ck.free_rank)
+    return cokernel(reduced_laplacian(comp, i, tree))
 
 
-def critical_group_direct(comp: SimplicialComplex, i) -> CriticalGroup:
+def critical_group_direct(comp: SimplicialComplex, i) -> AbelianGroup:
     """K_i straight from the definition: ker(boundary_i) / im(Laplacian).
 
     An integer basis of the kernel comes from the Smith form of the
@@ -122,16 +92,13 @@ def critical_group_direct(comp: SimplicialComplex, i) -> CriticalGroup:
         raise ValueError(f"dimension {i} out of range [0, {comp.dim})")
     bd = comp.boundary_matrix(i)
     s = smith_normal_form(bd)
-    lap = laplacian(comp, i, LaplacianKind.UP_DOWN)
-    w = s.v_inv * lap
+    w = s.v_inv * laplacian(comp, i)
     # rows below the rank are the kernel coordinates; rows above must
     # vanish because the Laplacian image lies inside the kernel
     for r in range(s.rank):
         if any(w.data[r]):
             raise AssertionError("Laplacian image escaped the boundary kernel")
-    coeff = IntMatrix(bd.cols - s.rank, bd.cols, w.data[s.rank:])
-    ck = cokernel(coeff)
-    return CriticalGroup(dimension=i, invariant_factors=ck.torsion, free_rank=ck.free_rank)
+    return cokernel(IntMatrix(bd.cols - s.rank, bd.cols, w.data[s.rank:]))
 
 
 # -- skeleta of simplices -------------------------------------------------
@@ -218,7 +185,8 @@ def verify_simplex_structure(n, k) -> SimplexStructureReport:
     top = reduced_laplacian(comp, k - 1, star)
     m = top.rows
     keep_high = [r for r, f in enumerate(comp.faces(k + 1)) if 1 in f]
-    down_up = laplacian(comp, k + 1, LaplacianKind.DOWN_UP).submatrix(keep_high, keep_high)
+    bd = comp.boundary_matrix(k + 1)
+    down_up = (bd.transpose() * bd).submatrix(keep_high, keep_high)
     size = aat.rows
     blocks_ok = (
         aat.submatrix(range(m), range(m)) == top
@@ -232,20 +200,17 @@ def verify_simplex_structure(n, k) -> SimplexStructureReport:
     g_k = critical_group_direct(comp, k)
 
     cyclic_ok = (
-        g_km1.free_rank == 0
-        and g_k.free_rank == 0
-        and all(f == n for f in g_km1.invariant_factors)
-        and all(f == n for f in g_k.invariant_factors)
+        g_km1.betti == 0
+        and g_k.betti == 0
+        and all(f == n for f in g_km1.torsion)
+        and all(f == n for f in g_k.torsion)
     )
-    exp_km1_ok = len(g_km1.invariant_factors) == comb(n - 2, k)
-    exp_k_ok = len(g_k.invariant_factors) == comb(n - 2, k + 1)
-    maxwell_ok = (
-        coker_a.free_rank == 0
-        and coker_a.torsion == tuple([n] * comb(n - 2, k))
-    )
+    exp_km1_ok = len(g_km1.torsion) == comb(n - 2, k)
+    exp_k_ok = len(g_k.torsion) == comb(n - 2, k + 1)
+    maxwell_ok = coker_a == AbelianGroup(0, tuple([n] * comb(n - 2, k)))
 
-    shifted = _direct_sum_factors(g_km1.invariant_factors, g_k.invariant_factors)
-    doubled = _direct_sum_factors(g_km1.invariant_factors, g_km1.invariant_factors)
+    shifted = _direct_sum_factors(g_km1.torsion, g_k.torsion)
+    doubled = _direct_sum_factors(g_km1.torsion, g_km1.torsion)
     if coker_aat.torsion == shifted and coker_aat.torsion == doubled:
         matches = "both"
     elif coker_aat.torsion == shifted:
@@ -260,8 +225,8 @@ def verify_simplex_structure(n, k) -> SimplexStructureReport:
         k=k,
         coker_a=coker_a.torsion,
         coker_aat=coker_aat.torsion,
-        factors_k_minus_1=g_km1.invariant_factors,
-        factors_k=g_k.invariant_factors,
+        factors_k_minus_1=g_km1.torsion,
+        factors_k=g_k.torsion,
         blocks_ok=blocks_ok,
         cyclic_ok=cyclic_ok,
         exponent_k_minus_1_ok=exp_km1_ok,
@@ -279,7 +244,7 @@ def pi_product(comp: SimplicialComplex, j) -> int:
     dimension j - 1.  With the augmentation convention, pi_0 = f_0."""
     if not 0 <= j <= comp.dim:
         raise ValueError(f"index {j} out of range [0, {comp.dim}]")
-    return pseudo_determinant(laplacian(comp, j - 1, LaplacianKind.UP_DOWN))
+    return pseudo_determinant(laplacian(comp, j - 1))
 
 
 def alternating_order(comp: SimplicialComplex, i) -> Fraction:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, make_face
-from .critical import LaplacianKind, laplacian, reduced_laplacian
+from .critical import _theta_indices, laplacian, reduced_laplacian
 from .intlinalg import lattice_membership, smith_normal_form
 from .trees import as_spanning_tree, require_torsion_free
 
@@ -70,7 +70,7 @@ def fire(comp: SimplicialComplex, i, values, face) -> tuple:
     """
     values = _check_config(comp, i, values)
     j = comp.face_index(i, make_face(face))
-    col = laplacian(comp, i, LaplacianKind.UP_DOWN).column(j)
+    col = laplacian(comp, i).column(j)
     return tuple(v - c for v, c in zip(values, col))
 
 
@@ -79,11 +79,6 @@ def is_conservative(comp: SimplicialComplex, i, values) -> bool:
     (for i = 0: the entries sum to zero, by the augmentation)."""
     values = _check_config(comp, i, values)
     return all(x == 0 for x in comp.boundary_matrix(i).apply(values))
-
-
-def _theta_indices(comp, i, tree):
-    in_tree = set(tree.top_faces)
-    return [j for j, f in enumerate(comp.faces(i)) if f not in in_tree]
 
 
 def extend_to_conservative(comp: SimplicialComplex, i, tree, theta_values) -> tuple:
@@ -121,8 +116,7 @@ def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
     a = _check_config(comp, i, values_a)
     b = _check_config(comp, i, values_b)
     diff = [x - y for x, y in zip(a, b)]
-    lap = laplacian(comp, i, LaplacianKind.UP_DOWN)
-    return lattice_membership(lap, diff) is not None
+    return lattice_membership(laplacian(comp, i), diff) is not None
 
 
 def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:

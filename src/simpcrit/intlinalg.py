@@ -2,8 +2,9 @@
 
 Everything here works over Z with Python's arbitrary-precision ints:
 Smith normal form with unimodular transforms, fraction-free (Bareiss)
-determinants, exact characteristic polynomials, cokernel structure of
-integer maps, and integer linear solving via the Smith transforms.
+determinants, exact characteristic polynomials, cokernels of integer
+maps as finitely generated abelian groups, and integer linear solving
+via the Smith transforms.
 
 Matrices are dense.  At the scale this library targets (complexes with
 at most a few hundred faces) exactness matters far more than sparsity.
@@ -12,7 +13,7 @@ at most a few hundred faces) exactness matters far more than sparsity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 
 class IntMatrix:
@@ -179,19 +180,21 @@ class SmithForm:
 
 
 @dataclass(frozen=True)
-class CokernelStructure:
-    """Z^rows / (column lattice): free rank plus invariant factors > 1."""
+class AbelianGroup:
+    """A finitely generated abelian group Z^betti + Z/t_1 + ... + Z/t_k,
+    with invariant factors 1 < t_1 | t_2 | ... | t_k."""
 
-    free_rank: int
+    betti: int
     torsion: tuple
 
     @property
     def order(self):
-        """Order of the torsion part."""
-        out = 1
-        for t in self.torsion:
-            out *= t
-        return out
+        """Order of the torsion part (the whole group when betti = 0)."""
+        return prod(self.torsion)
+
+    def __str__(self):
+        parts = ["Z"] * self.betti + [f"Z/{t}" for t in self.torsion]
+        return " + ".join(parts) if parts else "0"
 
 
 def _select_pivot(A, t, m, n):
@@ -524,13 +527,10 @@ def pseudo_determinant(a: IntMatrix) -> int:
     raise AssertionError("unreachable: char_poly is monic")
 
 
-def cokernel(a: IntMatrix) -> CokernelStructure:
-    """Structure of Z^rows modulo the integer column span of a."""
+def cokernel(a: IntMatrix) -> AbelianGroup:
+    """Z^rows modulo the integer column span of a."""
     facs = invariant_factors(a)
-    return CokernelStructure(
-        free_rank=a.rows - len(facs),
-        torsion=tuple(f for f in facs if f > 1),
-    )
+    return AbelianGroup(betti=a.rows - len(facs), torsion=tuple(f for f in facs if f > 1))
 
 
 def lattice_membership(a: IntMatrix, v):

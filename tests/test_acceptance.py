@@ -109,7 +109,7 @@ def test_criterion_1_bipyramid_reduced_laplacian():
     tree = find_torsion_free_tree(b, 1)
     assert tree.top_faces == ((1, 2), (1, 3), (1, 4), (1, 5))
     group = critical_group_reduced(b, 1, tree)
-    assert group.invariant_factors == (15,) and group.free_rank == 0
+    assert group.torsion == (15,) and group.betti == 0
     print("\n[PASS] criterion 1: bipyramid reduced Laplacian, det 15, K_1 = Z/15")
 
 
@@ -135,13 +135,13 @@ def test_criterion_2_bipyramid_tree_census():
 def test_criterion_3_main_theorem_oracle_equivalence():
     rp2 = SimplicialComplex.from_facets(RP2_FACETS)
     # H_1(RP^2) = Z/2; its single 2-tree is itself, with torsion 2
-    assert critical_group_direct(rp2, 1).invariant_factors == (2, 2)
+    assert critical_group_direct(rp2, 1).torsion == (2, 2)
     census = enumerate_trees(rp2, 2)
     assert (census.count, census.tau, census.torsion_histogram) == (1, 4, {2: 1})
     lm = [linial_meshulam(*spec) for spec in LM_TORSION]
     k1 = [critical_group_direct(c, 1) for c in lm]
-    assert all(g.invariant_factors[-1] > 1 for g in k1)
-    assert sum(g.free_rank > 0 for g in k1) == 10
+    assert all(g.torsion[-1] > 1 for g in k1)
+    assert sum(g.betti > 0 for g in k1) == 10
 
     fixtures = [bipyramid(), sphere(2), sphere(3), rp2] + lm
     fixtures += [simplex_skeleton(n, k) for n in (4, 5, 6) for k in (1, 2) if k <= n - 2]
@@ -166,8 +166,8 @@ def test_criterion_3_main_theorem_oracle_equivalence():
             direct = critical_group_direct(comp, i)
             for tree in _first_torsion_free_trees(comp, i, 3):
                 red = critical_group_reduced(comp, i, tree)
-                assert red.invariant_factors == direct.invariant_factors, (comp, i, tree)
-                assert red.free_rank == direct.free_rank
+                assert red.torsion == direct.torsion, (comp, i, tree)
+                assert red.betti == direct.betti
                 pairs_checked += 1
     assert pairs_checked >= 60
     print(f"[PASS] criterion 3: reduced = direct invariant factors on "
@@ -178,11 +178,11 @@ def test_criterion_4_sphere_theorem():
     for d in (1, 2, 3):
         s = sphere(d)
         group = critical_group_direct(s, d - 1)
-        assert group.free_rank == 0
-        assert group.invariant_factors == (d + 2,)
+        assert group.betti == 0
+        assert group.torsion == (d + 2,)
         assert len(s.faces(d)) == d + 2
     for n in range(3, 9):
-        assert critical_group_direct(cycle(n), 0).invariant_factors == (n,)
+        assert critical_group_direct(cycle(n), 0).torsion == (n,)
     print("[PASS] criterion 4: K_(d-1) of sphere boundaries cyclic of facet "
           "order (d = 1..3); cycles give Z/n (n = 3..8)")
 
@@ -190,7 +190,7 @@ def test_criterion_4_sphere_theorem():
 def test_criterion_5_simplex_skeleta():
     for n in (4, 5, 6):
         group = critical_group_direct(complete_graph(n), 0)
-        assert group.invariant_factors == tuple([n] * (n - 2))
+        assert group.torsion == tuple([n] * (n - 2))
     for n in (4, 5):
         census = enumerate_trees(complete_graph(n), 1)
         assert census.tau == n ** (n - 2)
@@ -222,7 +222,7 @@ def test_criterion_6_smtt_identities(big_skeleton, big_census):
         for i in (0, 1):
             value = alternating_order(comp, i)
             group = critical_group_direct(comp, i)
-            assert group.free_rank == 0
+            assert group.betti == 0
             assert value == Fraction(group.order), (comp, i, value)
     print("[PASS] criterion 6: both matrix-tree identities at i = 1, 2 and "
           "alternating products on bipyramid, sphere(2), 2-skeleton of the 6-vertex simplex")

@@ -1,4 +1,8 @@
+import hashlib
 import json
+
+import pytest
+from test_acceptance import RP2_FACETS
 
 from simpcrit import cli
 from simpcrit.cli import main
@@ -302,3 +306,38 @@ def test_flags_accepted_before_or_after_subcommand(capsys):
     code2, out2, _ = run_cli(capsys, "info", "--gen", "bipyramid", "--json")
     assert code1 == code2 == 0
     assert rep1 == json.loads(out2)
+
+
+# ---- pinned reports ---------------------------------------------------------------------
+
+BIPYRAMID = ("--gen", "bipyramid")
+RP2 = ("--facets", "rp2.txt")
+
+# first 16 hex digits of the SHA-256 of each command's --json stdout
+PINNED_REPORTS = [
+    (BIPYRAMID + ("info",), "b8bca8a529253d03"),
+    (BIPYRAMID + ("critical-group", "--dim", "1"), "57b1534d773b5453"),
+    (BIPYRAMID + ("verify", "main-thm", "--dim", "1"), "6902a5b3ca46571f"),
+    (BIPYRAMID + ("verify", "alt-product", "--dim", "1"), "cd95ef6b7f669fb5"),
+    (BIPYRAMID + ("flow", "fire", "--dim", "1", "--config", "0,0,0,0,0,0,0,0,0",
+                  "--face", "2 3"), "02b342a53e7612d3"),
+    (BIPYRAMID + ("flow", "canonical", "--dim", "1", "--config", "1,2,3,0,0,0,0,0,5"),
+     "8d93e4024a1938e4"),
+    (BIPYRAMID + ("flow", "equiv", "--dim", "1", "--config", "1,0,0,0,0,0,0,0,0",
+                  "--config2", "0,1,0,0,0,0,0,0,0"), "04414c2eada459dc"),
+    (("--gen", "sphere 3", "verify", "sphere"), "6a54ef4902e83eb4"),
+    (("--gen", "complete 6", "critical-group", "--dim", "0"), "56328eaa5bc87e98"),
+    (("verify", "simplex", "--n", "5", "--k", "2"), "d95fd095bccdcfef"),
+    (RP2 + ("info",), "43a14333b96829ae"),
+    (RP2 + ("critical-group", "--dim", "1"), "e25985b537ab1824"),
+    (RP2 + ("verify", "main-thm", "--dim", "1"), "94cb3ca2f674985e"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_REPORTS, ids=[" ".join(a) for a, _ in PINNED_REPORTS])
+def test_reports_are_pinned_byte_for_byte(argv, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rp2.txt").write_text("".join(" ".join(map(str, f)) + "\n" for f in RP2_FACETS))
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -252,11 +252,11 @@ def test_pseudo_determinant_gram_symmetry():
 
 def test_cokernel_examples():
     ck = cokernel(IntMatrix.diagonal([2, 3]))
-    assert ck.free_rank == 0 and ck.torsion == (6,)
+    assert ck.betti == 0 and ck.torsion == (6,)
     ck = cokernel(IntMatrix(1, 2, [[2, 4]]))
-    assert ck.free_rank == 0 and ck.torsion == (2,)
+    assert ck.betti == 0 and ck.torsion == (2,)
     ck = cokernel(IntMatrix(3, 2))
-    assert ck.free_rank == 3 and ck.torsion == ()
+    assert ck.betti == 3 and ck.torsion == ()
     assert ck.order == 1
 
 
