@@ -6,8 +6,10 @@ determinants, exact characteristic polynomials, cokernels of integer
 maps as finitely generated abelian groups, and integer linear solving
 via the Smith transforms.
 
-Matrices are dense.  At the scale this library targets (complexes with
-at most a few hundred faces) exactness matters far more than sparsity.
+Matrices are dense.  Invariant factors, cokernels and ranks first
+eliminate +-1 pivots in a private sparse form, since the boundary maps
+and Laplacians of complexes are sparse and almost unimodular; the dense
+Smith form then runs only on what is left.
 """
 
 from __future__ import annotations
@@ -363,10 +365,77 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     )
 
 
+def _eliminate_unit_pivots(a_data):
+    """Sparse Schur elimination of +-1 pivots.
+
+    A unit pivot p at (r, c) leaves the cokernel unchanged when row r and
+    column c are replaced by the Schur complement A - A[:, c] * p * A[r, :],
+    and it contributes one invariant factor 1.  Pivots are taken by least
+    Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), ties to the
+    lowest (row, col), until no entry is +-1; zero rows and columns drop
+    out.  Returns the pivot count and the dense rows of what is left.
+    """
+    rows = {}  # row -> {col: nonzero value}, ascending row order
+    cols = {}  # col -> set of rows with a nonzero there
+    for r, row in enumerate(a_data):
+        sparse = {c: x for c, x in enumerate(row) if x}
+        if sparse:
+            rows[r] = sparse
+            for c in sparse:
+                cols.setdefault(c, set()).add(r)
+    units = 0
+    while True:
+        # rows are scanned in ascending order, so only a pivot in the same
+        # row can tie with the best one and win on a lower column
+        best = -1
+        for r, row in rows.items():
+            others = len(row) - 1
+            for c, x in row.items():
+                if x == 1 or x == -1:
+                    cost = others * (len(cols[c]) - 1)
+                    if best < 0 or cost < best or (cost == best and r == pr and c < pc):
+                        best, pr, pc = cost, r, c
+            if best == 0:
+                break
+        if best < 0:
+            break
+        prow = rows.pop(pr)
+        p = prow.pop(pc)
+        for cc in prow:
+            cols[cc].discard(pr)
+        pcol = cols.pop(pc)
+        pcol.discard(pr)
+        for s in pcol:
+            srow = rows[s]
+            f = srow.pop(pc) * p
+            for cc, x in prow.items():
+                v = srow.get(cc, 0) - f * x
+                if v:
+                    srow[cc] = v
+                    cols[cc].add(s)
+                else:
+                    del srow[cc]
+                    cols[cc].discard(s)
+            if not srow:
+                del rows[s]
+        for cc in prow:
+            if not cols[cc]:
+                del cols[cc]
+        units += 1
+    keep = sorted(cols)
+    return units, [[row.get(c, 0) for c in keep] for row in rows.values()]
+
+
 def invariant_factors(a: IntMatrix) -> tuple:
-    """The d_1 | d_2 | ... | d_r of the Smith form (1's included)."""
-    d, *_ = _snf_engine(a.data, a.rows, a.cols, False)
-    return tuple(d)
+    """The d_1 | d_2 | ... | d_r of the Smith form (1's included).
+
+    Unit pivots are eliminated sparsely first, each adding a factor 1;
+    the dense Smith form then runs on the remainder only.  Invariant
+    factors are unique, so the pivot order never changes the result.
+    """
+    units, rest = _eliminate_unit_pivots(a.data)
+    d, *_ = _snf_engine(rest, len(rest), len(rest[0]) if rest else 0, False)
+    return (1,) * units + tuple(d)
 
 
 def _normalize(v):
@@ -437,10 +506,7 @@ class Echelon:
 
 
 def rank(a: IntMatrix) -> int:
-    ech = Echelon()
-    for row in a.data:
-        ech.insert(row)
-    return ech.rank
+    return len(invariant_factors(a))
 
 
 def determinant(a: IntMatrix) -> int:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from itertools import combinations
 
 import pytest
 from test_acceptance import RP2_FACETS
@@ -312,6 +314,17 @@ def test_flags_accepted_before_or_after_subcommand(capsys):
 
 BIPYRAMID = ("--gen", "bipyramid")
 RP2 = ("--facets", "rp2.txt")
+LM10 = ("--facets", "lm10.txt")  # K_1 = Z + Z/2 + Z/2 + Z/688015002040
+LM14 = ("--facets", "lm14.txt")
+
+
+def lm_facets(n, p, seed):
+    """All edges on 1..n, then each triangle in combinations order kept
+    when random.Random(seed).random() < p."""
+    rng = random.Random(seed)
+    tris = [t for t in combinations(range(1, n + 1), 3) if rng.random() < p]
+    return list(combinations(range(1, n + 1), 2)) + tris
+
 
 # first 16 hex digits of the SHA-256 of each command's --json stdout
 PINNED_REPORTS = [
@@ -331,13 +344,21 @@ PINNED_REPORTS = [
     (RP2 + ("info",), "43a14333b96829ae"),
     (RP2 + ("critical-group", "--dim", "1"), "e25985b537ab1824"),
     (RP2 + ("verify", "main-thm", "--dim", "1"), "94cb3ca2f674985e"),
+    (LM10 + ("info",), "4b52cb3f3f514cfa"),
+    (LM10 + ("critical-group", "--dim", "1"), "01f280b1e379f219"),
+    (LM10 + ("verify", "main-thm", "--dim", "1"), "b6da5b9a028a6777"),
+    (LM14 + ("critical-group", "--dim", "1"), "3d63e5cabda6b720"),
+    (LM14 + ("verify", "main-thm", "--dim", "1"), "1be04b5052a43fef"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_REPORTS, ids=[" ".join(a) for a, _ in PINNED_REPORTS])
 def test_reports_are_pinned_byte_for_byte(argv, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "rp2.txt").write_text("".join(" ".join(map(str, f)) + "\n" for f in RP2_FACETS))
+    for name, facets in (("rp2.txt", RP2_FACETS),
+                         ("lm10.txt", lm_facets(10, 0.5, 1)),
+                         ("lm14.txt", lm_facets(14, 0.3, 1))):
+        (tmp_path / name).write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

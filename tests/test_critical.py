@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from test_acceptance import RP2_FACETS
+from test_acceptance import LM_TORSION, RP2_FACETS, linial_meshulam
 
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
@@ -159,6 +159,26 @@ def test_k0_equals_one_skeleton_group():
     b = bipyramid()
     assert critical_group_direct(b, 0).torsion == \
         critical_group_direct(b.skeleton(1), 0).torsion
+
+
+def critical_group_by_kernel_basis(comp, i):
+    """K_i from an integer basis of ker(boundary_i): the rows of V^-1
+    below the rank of the Smith form of the boundary map.  Each Laplacian
+    column is rewritten in that basis and the group is the cokernel of
+    the coefficient matrix."""
+    bd = comp.boundary_matrix(i)
+    s = smith_normal_form(bd)
+    w = s.v_inv * laplacian(comp, i)
+    assert not any(any(w.data[r]) for r in range(s.rank))
+    facs = smith_normal_form(IntMatrix(bd.cols - s.rank, bd.cols, w.data[s.rank:])).d
+    return bd.cols - s.rank - len(facs), tuple(f for f in facs if f > 1)
+
+
+def test_direct_route_matches_kernel_basis_oracle():
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    for comp in [bipyramid(), rp2] + [linial_meshulam(*spec) for spec in LM_TORSION]:
+        g = critical_group_direct(comp, 1)
+        assert (g.betti, g.torsion) == critical_group_by_kernel_basis(comp, 1)
 
 
 RP2_FACETS = [

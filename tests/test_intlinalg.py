@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -171,6 +173,57 @@ def test_invariant_factors_match_snf():
     for _ in range(40):
         a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert invariant_factors(a) == smith_normal_form(a).d
+
+
+def sparse_matrix(rng, rows, cols, density, values):
+    return IntMatrix(rows, cols, [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ])
+
+
+def test_invariant_factors_differential_sparse():
+    # against the dense Smith form with transforms, which never takes the
+    # sparse unit-pivot path
+    rng = random.Random(20261018)
+    families = [
+        (-1, 1),  # eliminating units fills in and creates new units
+        (-4, -2, 2, 6),  # no unit entry at all
+        (-3, -1, 1, 1, 2, 5),
+    ]
+    for trial in range(90):
+        m, n = rng.randint(1, 40), rng.randint(1, 40)
+        a = sparse_matrix(rng, m, n, rng.uniform(0.05, 0.3), families[trial % 3])
+        if trial % 2:
+            for i in rng.sample(range(m), m // 4):
+                a.data[i] = [0] * n
+            for j in rng.sample(range(n), n // 4):
+                for row in a.data:
+                    row[j] = 0
+        d = smith_normal_form(a).d
+        assert invariant_factors(a) == d
+        assert rank(a) == len(d)
+    # a unit that only appears after the first elimination: 3 - 1*2 = 1
+    assert invariant_factors(IntMatrix(2, 2, [[1, 2], [1, 3]])) == (1, 1)
+    for shape in ((0, 5), (5, 0), (0, 0)):
+        assert invariant_factors(IntMatrix(*shape)) == ()
+        assert rank(IntMatrix(*shape)) == 0
+
+
+def test_invariant_factors_are_gcds_of_minors():
+    # d_1 ... d_k is the gcd of the k x k minors, and every minor past
+    # the rank vanishes
+    rng = random.Random(4)
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = sparse_matrix(rng, m, n, rng.uniform(0.3, 1.0), (-4, -3, -2, -1, 1, 2, 3, 6))
+        d = invariant_factors(a)
+        for k in range(1, min(m, n) + 1):
+            g = 0
+            for rs in combinations(range(m), k):
+                for cs in combinations(range(n), k):
+                    g = gcd(g, det_cofactor([[a.data[i][j] for j in cs] for i in rs]))
+            assert g == (prod(d[:k]) if k <= len(d) else 0)
 
 
 # ---- determinant -----------------------------------------------------------
