@@ -438,71 +438,17 @@ def invariant_factors(a: IntMatrix) -> tuple:
     return (1,) * units + tuple(d)
 
 
-def _normalize(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            return v
-    if g > 1:
-        return [x // g for x in v]
-    return v
-
-
 def eliminate(v, b, p):
     """b[p]*v - v[p]*b divided by its gcd: the fraction-free step that
     clears position p of v against the pivot b[p] != 0."""
     a, c = b[p], v[p]
-    return _normalize([a * x - c * y for x, y in zip(v, b)])
-
-
-class Echelon:
-    """Incremental integer row-echelon basis for exact rank/span queries.
-
-    Stored vectors are gcd-normalized with positive pivots and kept
-    mutually reduced, so a single ascending pass over the pivots fully
-    reduces a query vector.
-    """
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots = []  # (pivot_index, vector), ascending pivot order
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduce(self, vec):
-        v = list(vec)
-        for p, b in self.pivots:
-            if v[p]:
-                v = eliminate(v, b, p)
-        return v
-
-    def insert(self, vec):
-        """Add vec to the span; True if it enlarged the span."""
-        v = self.reduce(vec)
-        p = -1
-        for idx, x in enumerate(v):
-            if x:
-                p = idx
-                break
-        if p < 0:
-            return False
-        v = _normalize(v)
-        if v[p] < 0:
-            v = [-x for x in v]
-        # keep older vectors reduced at the new pivot; v vanishes at their
-        # pivots and v[p] > 0, so their pivots stay positive
-        for idx, (pk, b) in enumerate(self.pivots):
-            if b[p]:
-                self.pivots[idx] = (pk, eliminate(b, v, p))
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos][0] < p:
-            pos += 1
-        self.pivots.insert(pos, (p, v))
-        return True
+    w = [a * x - c * y for x, y in zip(v, b)]
+    g = 0
+    for x in w:
+        g = gcd(g, x)
+        if g == 1:
+            return w
+    return [x // g for x in w] if g > 1 else w
 
 
 def rank(a: IntMatrix) -> int:

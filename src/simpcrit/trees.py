@@ -1,8 +1,9 @@
 """Simplicial spanning trees.
 
-Recognition, exhaustive enumeration with rank-based pruning,
-torsion-weighted counts tau_i, and verification of the matrix-tree
-identities.
+Recognition, one lexicographic depth-first search with rank-based
+pruning (the exhaustive census, and the first torsion-free tree at its
+first such leaf), torsion-weighted counts tau_i, and verification of the
+matrix-tree identities.
 
 An i-dimensional spanning tree of a complex is determined by its set of
 i-faces (it always contains the full (i-1)-skeleton): the boundary
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import Echelon, determinant, eliminate, invariant_factors, rank
+from .intlinalg import determinant, eliminate, invariant_factors, rank
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -59,12 +60,17 @@ class _StopStream(Exception):
 
 
 def required_tree_size(comp: SimplicialComplex, i) -> int:
-    """f_i - beta_i + beta_{i-1}, computed on the i-skeleton."""
-    r_i = rank(comp.boundary_matrix(i))
-    f_prev = len(comp.faces(i - 1))
-    r_prev = rank(comp.boundary_matrix(i - 1))
-    beta_prev = (f_prev - r_prev) - r_i
-    return r_i + beta_prev
+    """f_i - beta_i + beta_{i-1}, computed on the i-skeleton.
+
+    On the i-skeleton f_i - beta_i = rank d_i and beta_{i-1} =
+    f_{i-1} - rank d_{i-1} - rank d_i, so this is f_{i-1} - rank d_{i-1}.
+    """
+    return len(comp.faces(i - 1)) - rank(comp.boundary_matrix(i - 1))
+
+
+def _check_dim(comp, i):
+    if not 0 <= i <= comp.dim:
+        raise ValueError(f"dimension {i} out of range [0, {comp.dim}]")
 
 
 def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
@@ -73,8 +79,7 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     Checks column independence and the face-count condition; the third
     tree condition follows from these two.  Unknown faces raise.
     """
-    if not 0 <= i <= comp.dim:
-        raise ValueError(f"dimension {i} out of range [0, {comp.dim}]")
+    _check_dim(comp, i)
     fs = sorted({make_face(f) for f in top_faces})
     cols = [comp.face_index(i, f) for f in fs]
     if len(fs) != required_tree_size(comp, i):
@@ -111,47 +116,44 @@ def require_torsion_free(tree: SpanningTree) -> SpanningTree:
     return tree
 
 
-def _greedy_tree(comp, i):
-    """Lexicographically greedy maximal independent set of i-faces."""
-    need = required_tree_size(comp, i)
-    bd = comp.boundary_matrix(i)
-    ech = Echelon()
-    picked = []
-    for j, face in enumerate(comp.faces(i)):
-        if ech.insert(bd.column(j)):
-            picked.append(face)
-            if len(picked) == need:
-                break
-    if len(picked) != need:
-        return None
-    return is_spanning_tree(comp, i, picked)
-
-
 def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
-    """A torsion-free i-tree: greedy first, enumeration as a fallback.
+    """The first torsion-free i-tree in lexicographic order of face indices.
 
-    Returns None only when the search completed and no spanning tree is
-    torsion-free (or none exists); raises BudgetExceededError when the
-    budget ran out before a torsion-free tree was found.
+    ``budget`` counts the tree search's column reductions from the first
+    one on.  Its first leaf, the lexicographically first basis, costs at
+    most (tree size) x (index of its last face) extensions: 274,170 for
+    the 741-face first 2-tree of ``simplex_skeleton(40, 2)``.  Returns
+    None when no i-tree exists (beta~_{i-1} != 0) or none is torsion-free;
+    raises BudgetExceededError when the budget runs out before one is found.
     """
-    tree = _greedy_tree(comp, i)
-    if tree is None or tree.torsion_order == 1:
-        return tree
+    _check_dim(comp, i)
+    if comp.reduced_homology(i - 1).betti:
+        return None
+    return _first_tree(comp, i, budget, torsion_free=True)
+
+
+def _first_tree(comp, i, budget, torsion_free):
+    """The search's first leaf with torsion 1 (any torsion unless
+    ``torsion_free``).  The full search, counting extensions from zero
+    again, runs only if the first leaf, from ``_descend``, is rejected."""
     found = []
 
     def grab(t):
-        if t.torsion_order == 1:
+        if t.torsion_order == 1 or not torsion_free:
             found.append(t)
             return True
         return False
 
-    census = enumerate_trees(comp, i, budget=budget, on_tree=grab)
+    census = _search(comp, i, budget, grab, descend=True)
+    if census.count and not found:
+        census = _search(comp, i, budget, grab)
     if found:
         return found[0]
     if not census.complete:
+        kind = "torsion-free " if torsion_free else ""
         raise BudgetExceededError(
             f"enumeration budget of {budget} extensions exceeded "
-            f"before a torsion-free {i}-tree was found"
+            f"before a {kind}{i}-tree was found"
         )
     return None
 
@@ -159,13 +161,21 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
 class _EnumState:
     __slots__ = ("bd", "faces", "need", "budget", "on_tree", "census")
 
-    def __init__(self, bd, faces, need, budget, on_tree, census):
-        self.bd = bd
-        self.faces = faces
-        self.need = need
+    def __init__(self, comp, i, budget, on_tree):
+        self.bd = comp.boundary_matrix(i)
+        self.faces = comp.faces(i)
+        self.need = required_tree_size(comp, i)
         self.budget = budget
         self.on_tree = on_tree
-        self.census = census
+        self.census = TreeCensus(dimension=i)
+
+    def charge(self, n):
+        """Count n extensions (column reductions) against the budget."""
+        c = self.census
+        if c.extensions + n > self.budget:
+            c.extensions = self.budget + 1
+            raise BudgetExceededError
+        c.extensions += n
 
 
 def _record(state, chosen):
@@ -187,47 +197,80 @@ def _record(state, chosen):
         raise _StopStream
 
 
-def _dfs(state, cands, chosen):
-    # cands: (face_index, column reduced against all chosen basis vectors),
-    # columns nonzero, indices increasing past chosen
-    need = state.need - len(chosen)
-    total = len(cands)
-    for pos in range(total):
-        if total - pos < need:
-            break
-        _expand(state, cands, pos, chosen)
+def _dfs(state, root):
+    """The search, with an explicit stack so that its depth costs no
+    Python frames.  ``levels[k]`` is [candidates, next position] below
+    ``chosen[:k]``: (face index, column reduced against the chosen
+    columns), nonzero, in increasing index order."""
+    need = state.need
+    chosen = []
+    levels = [[root, 0]]
+    while levels:
+        level = levels[-1]
+        cands, pos = level
+        left = need - len(chosen)
+        if len(cands) - pos < left:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        level[1] = pos + 1
+        j, vec = cands[pos]
+        if left == 1:
+            _record(state, chosen + [j])
+            continue
+        # take candidate #pos and reduce the rest against its column
+        state.charge(len(cands) - pos - 1)
+        p = 0
+        while not vec[p]:
+            p += 1
+        child = []
+        for k in range(pos + 1, len(cands)):
+            cand = cands[k]
+            v2 = cand[1]
+            if v2[p]:
+                w = eliminate(v2, vec, p)
+                if any(w):
+                    child.append((cand[0], w))
+            else:
+                child.append(cand)
+        if len(child) >= left - 1:
+            chosen.append(j)
+            levels.append([child, 0])
 
 
-def _expand(state, cands, pos, chosen):
-    """Force candidate #pos into the tree and recurse on the remainder,
-    reduced against its column."""
-    j, vec = cands[pos]
-    if state.need - len(chosen) == 1:
-        _record(state, chosen + [j])
-        return
-    p = 0
-    while not vec[p]:
-        p += 1
-    child = []
-    for pos2 in range(pos + 1, len(cands)):
-        state.census.extensions += 1
-        if state.census.extensions > state.budget:
-            raise BudgetExceededError
-        j2, v2 = cands[pos2]
-        if v2[p]:
-            w = eliminate(v2, vec, p)
-            if any(w):
-                child.append((j2, w))
-        else:
-            child.append((j2, v2))
-    if len(child) >= state.need - len(chosen) - 1:
-        _dfs(state, child, chosen + [j])
+def _descend(state, cands):
+    """The first leaf of ``_dfs``, keeping no candidate lists: each
+    candidate is reduced against the taken columns, in ``_dfs``'s order,
+    only when its turn comes, so nothing past the leaf's last face is
+    touched and the extensions are fewer.  Records nothing if the
+    candidates run out (no tree exists)."""
+    basis = []  # (pivot, taken column reduced against the earlier ones)
+    chosen = []
+    for j, v in cands:
+        steps = 0
+        for p, b in basis:
+            steps += 1
+            if v[p]:
+                v = eliminate(v, b, p)
+                if not any(v):
+                    break
+        state.charge(steps)
+        if any(v):
+            chosen.append(j)
+            if len(chosen) == state.need:
+                _record(state, chosen)
+                return
+            p = 0
+            while not v[p]:
+                p += 1
+            basis.append((p, v))
 
 
 def _root_candidates(bd):
     # boundary columns have entries 0 and +-1, so they are already primitive
     cols = (bd.column(j) for j in range(bd.cols))
-    return [(j, col) for j, col in enumerate(cols) if any(col)]
+    return ((j, col) for j, col in enumerate(cols) if any(col))
 
 
 def enumerate_trees(
@@ -246,24 +289,32 @@ def enumerate_trees(
     ``complete=False`` and a warning, never a silent truncation.
 
     If the i-skeleton is not acyclic in positive codimension the census
-    is empty (no spanning trees exist).
+    is empty, with a warning: the matrix-tree theorems it serves assume
+    that.  Trees can still exist (whenever beta~_{i-1} = 0), and
+    ``find_torsion_free_tree`` does not apply this check.
     """
-    if not 0 <= i <= comp.dim:
-        raise ValueError(f"dimension {i} out of range [0, {comp.dim}]")
-    census = TreeCensus(dimension=i)
-    if not comp.skeleton(i).is_apc():
-        census.warnings = (
+    _check_dim(comp, i)
+    if any(comp.reduced_homology(j).betti for j in range(-1, i)):
+        # H~_j for j < i depends only on faces of dimension <= i
+        return TreeCensus(dimension=i, warnings=(
             "skeleton is not acyclic in positive codimension: no spanning trees",
-        )
-        return census
-    need = required_tree_size(comp, i)
-    bd = comp.boundary_matrix(i)
-    state = _EnumState(bd, comp.faces(i), need, budget, on_tree, census)
+        ))
+    return _search(comp, i, budget, on_tree)
+
+
+def _search(comp, i, budget, on_tree, descend=False):
+    """The one tree search: depth-first over face indices in lexicographic
+    order, a leaf for every set of ``required_tree_size`` independent
+    columns.  With ``descend``, only up to its first leaf."""
+    state = _EnumState(comp, i, budget, on_tree)
+    census = state.census
     try:
-        if need == 0:
+        if state.need == 0:
             _record(state, [])
+        elif descend:
+            _descend(state, _root_candidates(state.bd))
         else:
-            _dfs(state, _root_candidates(bd), [])
+            _dfs(state, list(_root_candidates(state.bd)))
     except BudgetExceededError:
         census.complete = False
         census.warnings += (
@@ -312,13 +363,20 @@ def verify_smtt(
     """Check pi_i = tau_i * tau_{i-1} / |H_{i-2}|^2 and the determinant
     form of tau_i, all in exact integer arithmetic (cross-multiplied).
 
-    Precomputed censuses may be passed in to avoid re-enumeration.
-    A partial census makes the identities undefined: BudgetExceededError.
+    Precomputed censuses may be passed in to avoid re-enumeration; one
+    of the wrong dimension raises ValueError.  A partial census makes
+    the identities undefined: BudgetExceededError.  The (i-1)-tree for
+    the determinant is the first torsion-free one, else the first of any
+    torsion; its search costs no more than the (i-1)-census, so it fits
+    in any budget the census fitted in.
     """
     from .critical import pi_product, reduced_laplacian
 
     if not 1 <= i <= comp.dim:
         raise ValueError(f"dimension {i} out of range [1, {comp.dim}]")
+    for c, d in ((census, i), (census_prev, i - 1)):
+        if c is not None and c.dimension != d:
+            raise ValueError(f"expected a {d}-tree census, got one of dimension {c.dimension}")
     if census is None:
         census = enumerate_trees(comp, i, budget=budget)
     if census_prev is None:
@@ -339,7 +397,7 @@ def verify_smtt(
 
     tree = find_torsion_free_tree(comp, i - 1, budget=budget)
     if tree is None:
-        tree = _greedy_tree(comp, i - 1)
+        tree = _first_tree(comp, i - 1, budget, torsion_free=False)
     if tree is None:
         raise ValueError(f"no ({i - 1})-dimensional spanning tree exists")
     det = determinant(reduced_laplacian(comp, i - 1, tree))

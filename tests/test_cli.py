@@ -100,8 +100,8 @@ def test_critical_group_bad_tree_exits_3(tmp_path, capsys):
 
 
 def test_critical_group_budget_fallback_names_the_budget(tmp_path, capsys, monkeypatch):
-    # RP^2 plus a tetrahedron: every 2-tree contains RP^2, so the greedy
-    # tree has torsion and the search for a torsion-free one must run
+    # RP^2 plus a tetrahedron: every 2-tree contains RP^2, so every tree
+    # has torsion and the search for a torsion-free one walks them all
     path = tmp_path / "rp2_tetra.txt"
     path.write_text("1 2 3\n1 2 4\n1 3 5\n1 4 6\n1 5 6\n"
                     "2 3 6\n2 4 5\n2 5 6\n3 4 5\n3 4 6\n5 6 7 8\n")

@@ -6,7 +6,6 @@ from math import gcd, prod
 import pytest
 
 from simpcrit.intlinalg import (
-    Echelon,
     IntMatrix,
     char_poly,
     cokernel,
@@ -359,18 +358,10 @@ def test_lattice_membership_against_brute_force():
             assert a.apply(x) == v
 
 
-# ---- echelon / rank -----------------------------------------------------------
+# ---- rank --------------------------------------------------------------------
 
 def test_rank_against_fraction_oracle():
     rng = random.Random(31)
     for _ in range(60):
         a = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), -5, 5)
         assert rank(a) == frac_rank(a.data)
-
-
-def test_echelon_insert_reports_dependence():
-    ech = Echelon()
-    assert ech.insert([1, 2, 3])
-    assert ech.insert([0, 1, 1])
-    assert not ech.insert([2, 5, 7])  # sum of the first two, doubled
-    assert ech.rank == 2

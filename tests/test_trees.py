@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from test_acceptance import linial_meshulam
 
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import reduced_laplacian
@@ -210,6 +211,101 @@ def test_find_torsion_free_tree_budget_is_not_absence():
         find_torsion_free_tree(rp2, 2, budget=1)
 
 
+def first_tree_brute(comp, i, torsion_free):
+    """The first index combination, in itertools.combinations order, that
+    is_spanning_tree accepts (with torsion 1 if torsion_free).  The tree
+    size comes from the homology of the i-skeleton, not from the search."""
+    sk = comp.skeleton(i)
+    faces = comp.faces(i)
+    need = len(faces) - sk.reduced_homology(i).betti + sk.reduced_homology(i - 1).betti
+    for combo in combinations(range(len(faces)), need):
+        t = is_spanning_tree(comp, i, [faces[j] for j in combo])
+        if t is not None and (t.torsion_order == 1 or not torsion_free):
+            return t
+    return None
+
+
+def test_first_trees_match_brute_force():
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    rp2_tetra = SimplicialComplex.from_facets(RP2_FACETS + [(5, 6, 7, 8)])
+    # RP^2 with the loop 4-5-6 coned off: its first 2-tree has torsion 2,
+    # a later one none
+    rp2_cone = SimplicialComplex.from_facets(RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)])
+    assert first_tree_brute(rp2_cone, 2, torsion_free=False).torsion_order == 2
+    comps = [bipyramid(), rp2, rp2_tetra, rp2_cone, sphere(3),
+             linial_meshulam(6, 0.5, 3), linial_meshulam(7, 0.5, 1)]
+    for comp in comps:
+        for i in range(comp.dim + 1):
+            want = first_tree_brute(comp, i, torsion_free=True)
+            assert find_torsion_free_tree(comp, i) == want, (comp, i)
+    # every 2-tree of RP^2 plus a tetrahedron contains RP^2, so it has
+    # torsion 2, and verify_smtt at i = 3 falls back to the first tree of
+    # any torsion
+    rep = verify_smtt(rp2_tetra, 3)
+    fallback = first_tree_brute(rp2_tetra, 2, torsion_free=False)
+    assert rep.ok and rep.tree_torsion == 2
+    assert rep.tree_faces == fallback.top_faces
+
+
+def test_tree_exists_without_apc():
+    # two disjoint solid tetrahedra: beta~_1 = 0, so 2-trees exist, but
+    # beta~_0 = 1, so the census declines and no 1-tree exists
+    comp = SimplicialComplex.from_facets([(1, 2, 3, 4), (5, 6, 7, 8)])
+    t = find_torsion_free_tree(comp, 2)
+    assert t is not None and is_spanning_tree(comp, 2, t.top_faces) == t
+    census = enumerate_trees(comp, 2)
+    assert census.count == 0 and census.complete
+    assert census.warnings == (
+        "skeleton is not acyclic in positive codimension: no spanning trees",)
+    assert find_torsion_free_tree(comp, 1) is None
+
+
+def test_no_tree_is_answered_before_searching():
+    # two disjoint K_6: every spanning forest would be walked without the
+    # beta~_0 check, and the budget of 100 would run out
+    k6 = list(combinations(range(1, 7), 2))
+    comp = SimplicialComplex.from_facets(k6 + [(a + 6, b + 6) for a, b in k6])
+    assert find_torsion_free_tree(comp, 1, budget=100) is None
+
+
+def test_first_tree_search_counts_against_budget():
+    with pytest.raises(BudgetExceededError, match="budget of 1 "):
+        find_torsion_free_tree(bipyramid(), 1, budget=1)
+
+
+def test_first_tree_costs_no_more_than_the_census_walk():
+    rp2_cone = SimplicialComplex.from_facets(RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)])
+    # the first tree ends at the last edge, and (2, 3) becomes zero before
+    # it meets the third tree edge: the walk to the leaf costs exactly 8
+    graph = SimplicialComplex.from_facets([(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)])
+    for comp, i in ((bipyramid(), 1), (bipyramid(), 2), (sphere(3), 2), (rp2_cone, 2), (graph, 1)):
+        found = []
+
+        def grab(t):
+            found.append(t)
+            return t.torsion_order == 1
+
+        walk = enumerate_trees(comp, i, on_tree=grab)
+        assert find_torsion_free_tree(comp, i, budget=walk.extensions) == found[-1]
+    assert walk.extensions == 8
+    # no extension to spare when the first leaf ends at the last face, or
+    # when it has torsion (as in rp2_cone) and the whole walk is needed
+    for comp, i in ((graph, 1), (rp2_cone, 2)):
+        budget = enumerate_trees(comp, i, on_tree=lambda t: t.torsion_order == 1).extensions
+        with pytest.raises(BudgetExceededError):
+            find_torsion_free_tree(comp, i, budget=budget - 1)
+
+
+def test_deep_trees_need_no_recursion():
+    # trees of 1,199 and 599 faces: a search taking two Python frames per
+    # face would pass the default recursion limit of 1,000
+    comp = cycle(1200)
+    assert find_torsion_free_tree(comp, 1).top_faces == comp.faces(1)[:1199]
+    path = SimplicialComplex.from_facets([(v, v + 1) for v in range(1, 600)])
+    census = enumerate_trees(path, 1)
+    assert (census.count, census.tau, census.complete) == (1, 1, True)
+
+
 # ---- matrix-tree identities ------------------------------------------------------
 
 def test_smtt_bipyramid():
@@ -228,6 +324,14 @@ def test_smtt_reduces_to_classical_matrix_tree():
         brute = spanning_trees_brute(n, list(comp.faces(1)))
         assert rep.tau == len(brute)
         assert rep.det_reduced == len(brute)
+
+
+def test_smtt_rejects_census_of_wrong_dimension():
+    b = bipyramid()
+    with pytest.raises(ValueError, match="2-tree census.*dimension 1"):
+        verify_smtt(b, 2, census=enumerate_trees(b, 1))
+    with pytest.raises(ValueError, match="1-tree census.*dimension 2"):
+        verify_smtt(b, 2, census_prev=enumerate_trees(b, 2))
 
 
 def test_smtt_sphere():
