@@ -44,7 +44,6 @@ from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     SmithForm,
-    char_poly,
     cokernel,
     determinant,
     invariant_factors,
@@ -55,6 +54,7 @@ from .intlinalg import (
 )
 from .trees import (
     BudgetExceededError,
+    NotAcyclicError,
     NotATreeError,
     SpanningTree,
     TreeCensus,

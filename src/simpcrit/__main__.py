@@ -1,0 +1,4 @@
+from .cli import run
+
+if __name__ == "__main__":
+    run()

@@ -40,6 +40,7 @@ from .flows import (
 from .trees import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    NotAcyclicError,
     NotATreeError,
     TreeHasTorsionError,
     enumerate_trees,
@@ -672,7 +673,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NotATreeError, TreeHasTorsionError) as exc:
+    except (NotATreeError, TreeHasTorsionError, NotAcyclicError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except BudgetExceededError as exc:

@@ -35,7 +35,7 @@ def make_face(vertices) -> Face:
 class SimplicialComplex:
     """A finite simplicial complex, immutable after construction."""
 
-    __slots__ = ("dim", "_faces", "_index", "_memo")
+    __slots__ = ("dim", "_faces", "_index", "_key", "_memo")
 
     def __init__(self, faces_by_dim):
         # internal constructor: faces_by_dim maps i -> sorted tuple of faces,
@@ -45,6 +45,8 @@ class SimplicialComplex:
         self._index = {
             i: {f: j for j, f in enumerate(faces)} for i, faces in faces_by_dim.items()
         }
+        # the value that equality and hashing compare: every face list
+        self._key = tuple(faces_by_dim[i] for i in range(-1, self.dim + 1))
         # derived matrices and groups, keyed by (name, dimension); values
         # are shared and must not be mutated
         self._memo = {}
@@ -174,9 +176,13 @@ class SimplicialComplex:
                 return False
         return True
 
-    def is_apc(self) -> bool:
-        """Acyclic in positive codimension: rational homology vanishes below the top."""
-        return all(self.reduced_homology(i).betti == 0 for i in range(-1, self.dim))
+    def is_apc(self, k=None) -> bool:
+        """Acyclic in positive codimension: rational homology vanishes below
+        the top.  With k, the same for the k-skeleton: beta~_j = 0 for
+        j < k, which depends only on faces of dimension <= k, so no
+        skeleton is built."""
+        k = self.dim if k is None else k
+        return all(self.reduced_homology(j).betti == 0 for j in range(-1, k))
 
     def skeleton(self, k) -> "SimplicialComplex":
         """The subcomplex of all faces of dimension at most k."""
@@ -189,16 +195,13 @@ class SimplicialComplex:
 
     # -- value semantics ----------------------------------------------
 
-    def _key(self):
-        return tuple(self._faces[i] for i in range(-1, self.dim + 1))
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._key() == other._key()
+        return self is other or self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._memoized("hash", lambda: hash(self._key))
 
     def __repr__(self):
         return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"

@@ -30,9 +30,9 @@ from .generators import full_simplex
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
+    _pdet_on_basis,
     cokernel,
     invariant_factors,
-    pseudo_determinant,
     rank,
 )
 from .trees import as_spanning_tree, require_torsion_free
@@ -241,10 +241,17 @@ def verify_simplex_structure(n, k) -> SimplexStructureReport:
 
 def pi_product(comp: SimplicialComplex, j) -> int:
     """Product of the nonzero eigenvalues of the up-down Laplacian in
-    dimension j - 1.  With the augmentation convention, pi_0 = f_0."""
+    dimension j - 1.  With the augmentation convention, pi_0 = f_0.
+
+    L = boundary_j times its transpose has the column space of
+    boundary_j, so with B a maximal independent set of boundary columns
+    (the first, in face order) pi_j = det(B^T L B) / det(B^T B): two
+    Bareiss determinants of side rank(boundary_j) and an exact division.
+    B's entries are 0 and +-1, so both Gram matrices stay small.
+    """
     if not 0 <= j <= comp.dim:
         raise ValueError(f"index {j} out of range [0, {comp.dim}]")
-    return pseudo_determinant(laplacian(comp, j - 1))
+    return _pdet_on_basis(laplacian(comp, j - 1), comp.boundary_matrix(j))
 
 
 def alternating_order(comp: SimplicialComplex, i) -> Fraction:

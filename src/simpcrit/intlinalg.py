@@ -2,9 +2,15 @@
 
 Everything here works over Z with Python's arbitrary-precision ints:
 Smith normal form with unimodular transforms, fraction-free (Bareiss)
-determinants, exact characteristic polynomials, cokernels of integer
-maps as finitely generated abelian groups, and integer linear solving
-via the Smith transforms.
+determinants, pseudo-determinants, cokernels of integer maps as finitely
+generated abelian groups, and integer linear solving via the Smith
+transforms.
+
+A pseudo-determinant (the product of the nonzero eigenvalues of a
+symmetric matrix L) comes from a basis B of L's column space, taken from
+the columns of any F with col(F) = col(L): L maps col(B) into itself, so
+pdet(L) = det(B^T L B) / det(B^T B), two Bareiss determinants of side
+rank(L) and one exact division.
 
 Matrices are dense.  Invariant factors, cokernels and ranks first
 eliminate +-1 pivots in a private sparse form, since the boundary maps
@@ -451,6 +457,33 @@ def eliminate(v, b, p):
     return [x // g for x in w] if g > 1 else w
 
 
+def column_basis(cols):
+    """The lexicographically first maximal independent set of columns.
+
+    ``cols`` yields (index, column) pairs.  For each one this yields
+    (index, steps, taken): ``taken`` says whether the column is
+    independent of the columns taken before it, ``steps`` how many of
+    those it was reduced against with ``eliminate`` (a column stops as
+    soon as it is zero).  Taken columns are kept reduced.
+    """
+    basis = []  # (pivot, taken column reduced against the earlier ones)
+    for j, v in cols:
+        steps = 0
+        for p, b in basis:
+            steps += 1
+            if v[p]:
+                v = eliminate(v, b, p)
+                if not any(v):
+                    break
+        taken = any(v)
+        if taken:
+            p = 0
+            while not v[p]:
+                p += 1
+            basis.append((p, v))
+        yield j, steps, taken
+
+
 def rank(a: IntMatrix) -> int:
     return len(invariant_factors(a))
 
@@ -490,7 +523,9 @@ def char_poly(a: IntMatrix) -> list:
     """Coefficients of det(xI - A), highest power first.
 
     Faddeev-LeVerrier with exact integer arithmetic; every division is
-    exact for integer input.
+    exact for integer input.  O(n^4) big-integer work, so nothing in the
+    package calls it: it is the test oracle of ``pseudo_determinant`` and
+    ``pi_product``, and ``bench/tracing.py`` traces it by this name.
     """
     if not a.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -521,22 +556,32 @@ def char_poly(a: IntMatrix) -> list:
     return coeffs
 
 
-def pseudo_determinant(a: IntMatrix) -> int:
-    """Product of the nonzero eigenvalues of a symmetric PSD matrix.
+def _pdet_on_basis(a: IntMatrix, f: IntMatrix) -> int:
+    """Product of the nonzero eigenvalues of a symmetric a whose column
+    space is that of f, in absolute value: |det(B^T a B)| / det(B^T B),
+    B the first maximal independent set of f's columns.  a maps col(B)
+    into itself, so the division is exact."""
+    keep = [j for j, _, taken in column_basis((j, f.column(j)) for j in range(f.cols)) if taken]
+    b = f.submatrix(range(f.rows), keep)
+    bt = b.transpose()
+    return abs(determinant(bt * (a * b))) // determinant(bt * b)
 
-    Equals |lowest-degree nonzero coefficient| of the characteristic
-    polynomial; 1 for a zero (or 0 x 0) matrix, as an empty product.
-    Asymmetric input is rejected: the contract assumes the matrix is a
-    Gram matrix M * M^T, which guarantees positive semidefiniteness.
+
+def pseudo_determinant(a: IntMatrix) -> int:
+    """Product of the nonzero eigenvalues of a symmetric matrix, in absolute
+    value; 1 for a zero (or 0 x 0) matrix, as an empty product.
+
+    Computed from a basis B of a's own columns as |det(B^T a B)| /
+    det(B^T B), two Bareiss determinants of side rank(a) and an exact
+    division; no characteristic polynomial is formed.  Asymmetric input
+    is rejected: the contract assumes the matrix is a Gram matrix M * M^T,
+    which guarantees positive semidefiniteness.
     """
     if not a.is_square:
         raise ValueError("pseudo-determinant of a non-square matrix")
     if not a.is_symmetric():
         raise ValueError("pseudo-determinant requires a symmetric matrix")
-    for c in reversed(char_poly(a)):
-        if c:
-            return abs(c)
-    raise AssertionError("unreachable: char_poly is monic")
+    return _pdet_on_basis(a, a)
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:

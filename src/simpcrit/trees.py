@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import determinant, eliminate, invariant_factors, rank
+from .intlinalg import column_basis, determinant, eliminate, invariant_factors, rank
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -49,6 +49,11 @@ class TreeCensus:
     complete: bool = True
     extensions: int = 0
     warnings: tuple = ()
+
+
+class NotAcyclicError(ValueError):
+    """The skeleton is not acyclic in positive codimension, which the
+    matrix-tree theorems assume."""
 
 
 class BudgetExceededError(Exception):
@@ -242,29 +247,17 @@ def _dfs(state, root):
 def _descend(state, cands):
     """The first leaf of ``_dfs``, keeping no candidate lists: each
     candidate is reduced against the taken columns, in ``_dfs``'s order,
-    only when its turn comes, so nothing past the leaf's last face is
-    touched and the extensions are fewer.  Records nothing if the
-    candidates run out (no tree exists)."""
-    basis = []  # (pivot, taken column reduced against the earlier ones)
+    only when its turn comes (``column_basis``), so nothing past the
+    leaf's last face is touched and the extensions are fewer.  Records
+    nothing if the candidates run out (no tree exists)."""
     chosen = []
-    for j, v in cands:
-        steps = 0
-        for p, b in basis:
-            steps += 1
-            if v[p]:
-                v = eliminate(v, b, p)
-                if not any(v):
-                    break
+    for j, steps, taken in column_basis(cands):
         state.charge(steps)
-        if any(v):
+        if taken:
             chosen.append(j)
             if len(chosen) == state.need:
                 _record(state, chosen)
                 return
-            p = 0
-            while not v[p]:
-                p += 1
-            basis.append((p, v))
 
 
 def _root_candidates(bd):
@@ -294,8 +287,7 @@ def enumerate_trees(
     ``find_torsion_free_tree`` does not apply this check.
     """
     _check_dim(comp, i)
-    if any(comp.reduced_homology(j).betti for j in range(-1, i)):
-        # H~_j for j < i depends only on faces of dimension <= i
+    if not comp.is_apc(i):
         return TreeCensus(dimension=i, warnings=(
             "skeleton is not acyclic in positive codimension: no spanning trees",
         ))
@@ -363,6 +355,9 @@ def verify_smtt(
     """Check pi_i = tau_i * tau_{i-1} / |H_{i-2}|^2 and the determinant
     form of tau_i, all in exact integer arithmetic (cross-multiplied).
 
+    The theorem needs the i-skeleton to be acyclic in positive
+    codimension, the check ``enumerate_trees`` makes: otherwise
+    NotAcyclicError.  That makes H_{i-2} finite and gives (i-1)-trees.
     Precomputed censuses may be passed in to avoid re-enumeration; one
     of the wrong dimension raises ValueError.  A partial census makes
     the identities undefined: BudgetExceededError.  The (i-1)-tree for
@@ -377,6 +372,11 @@ def verify_smtt(
     for c, d in ((census, i), (census_prev, i - 1)):
         if c is not None and c.dimension != d:
             raise ValueError(f"expected a {d}-tree census, got one of dimension {c.dimension}")
+    if not comp.is_apc(i):
+        raise NotAcyclicError(
+            f"the {i}-skeleton is not acyclic in positive codimension: "
+            "the matrix-tree identities do not apply"
+        )
     if census is None:
         census = enumerate_trees(comp, i, budget=budget)
     if census_prev is None:
@@ -387,10 +387,7 @@ def verify_smtt(
             raise BudgetExceededError(f"{c.dimension}-tree " + "; ".join(c.warnings))
     if census_prev.tau == 0:
         raise ValueError("tau_{i-1} is zero: the identities are undefined")
-    h = comp.reduced_homology(i - 2)
-    if h.betti:
-        raise ValueError("H_{i-2} of the complex is infinite")
-    h_order = h.order
+    h_order = comp.reduced_homology(i - 2).order
 
     pi = pi_product(comp, i)
     eig_ok = pi * h_order * h_order == census.tau * census_prev.tau
@@ -398,8 +395,6 @@ def verify_smtt(
     tree = find_torsion_free_tree(comp, i - 1, budget=budget)
     if tree is None:
         tree = _first_tree(comp, i - 1, budget, torsion_free=False)
-    if tree is None:
-        raise ValueError(f"no ({i - 1})-dimensional spanning tree exists")
     det = determinant(reduced_laplacian(comp, i - 1, tree))
     t2 = tree.torsion_order * tree.torsion_order
     det_ok = census.tau * t2 == h_order * h_order * det

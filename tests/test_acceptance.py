@@ -231,6 +231,8 @@ def test_criterion_6_smtt_identities(big_skeleton, big_census):
 def test_criterion_7_extended_six_vertex_census(big_census):
     assert big_census.complete
     assert big_census.tau == 46656 == 6 ** 6
+    # pins the DFS column reduction, as in test_group_order_equals_next_tau
+    assert (big_census.count, big_census.extensions) == (46620, 278544)
     assert 2 in big_census.torsion_histogram
     assert big_census.torsion_histogram[2] >= 1
     # histogram consistency with the torsion-weighted count

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from test_acceptance import RP2_FACETS
@@ -166,6 +170,26 @@ def test_verify_smtt_partial_census_exits_4(capsys):
         assert code == 4
         assert "budget" in err
         assert "verdict" not in out
+
+
+def test_verify_smtt_outside_apc_is_a_hypothesis_violation(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n3 4\n")
+    code, out, err = run_cli(capsys, "--facets", str(path), "verify", "smtt", "--dim", "1")
+    assert code == 3
+    assert err.startswith("hypothesis violation:") and "acyclic" in err
+    assert "FAIL" not in out + err
+
+
+def test_python_m_simpcrit_runs_from_a_checkout():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "simpcrit", "--gen", "bipyramid", "verify", "alt-product", "--dim", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: PASS" in proc.stdout
 
 
 def test_verify_main_thm(capsys):

@@ -203,6 +203,17 @@ def test_graph_apc_iff_connected():
     assert not SimplicialComplex.from_facets([(1, 2), (3, 4)]).is_apc()
 
 
+def test_apc_of_a_skeleton():
+    # two disjoint solid tetrahedra: the 0-skeleton is APC, every higher
+    # one has beta~_0 = 1; RP^2's H_1 is finite, its 2-skeleton APC
+    tetras = SimplicialComplex.from_facets([(1, 2, 3, 4), (5, 6, 7, 8)])
+    assert tetras.is_apc(0) and not tetras.is_apc(1) and not tetras.is_apc(3)
+    assert tetras.is_apc(3) == tetras.is_apc()
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    assert all(rp2.is_apc(k) for k in range(3))
+    assert all(bipyramid().is_apc(k) for k in range(3))
+
+
 def test_skeleton():
     skel = full_simplex(4).skeleton(1)
     assert skel == complete_graph(4)
@@ -216,3 +227,18 @@ def test_facets_listing():
     assert mixed.facets() == ((3, 4), (1, 2, 3))
     assert bipyramid().facets() == tuple(sorted(
         [(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (2, 3, 4), (2, 3, 5)]))
+
+
+def test_equality_and_hash_compare_faces():
+    a = SimplicialComplex.from_facets(RP2_FACETS)
+    b = SimplicialComplex.from_facets(list(reversed(RP2_FACETS)))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a == a and hash(a) == hash(a)
+    # same f-vector, different faces
+    c = SimplicialComplex.from_facets([(1, 2), (3, 4)])
+    d = SimplicialComplex.from_facets([(1, 3), (2, 4)])
+    assert c.f_vector() == d.f_vector() and c != d and d != c
+    assert a != SimplicialComplex.from_facets(RP2_FACETS[:-1])
+    assert a != "RP2"
+    assert len({a, b, c, d}) == 3

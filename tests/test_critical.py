@@ -24,12 +24,23 @@ from simpcrit.generators import (
     simplex_skeleton,
     sphere,
 )
-from simpcrit.intlinalg import IntMatrix, cokernel, determinant, smith_normal_form
+from simpcrit.intlinalg import (
+    IntMatrix,
+    char_poly,
+    cokernel,
+    column_basis,
+    determinant,
+    pseudo_determinant,
+    smith_normal_form,
+)
 from simpcrit.trees import (
+    NotAcyclicError,
     NotATreeError,
     TreeHasTorsionError,
     enumerate_trees,
     find_torsion_free_tree,
+    required_tree_size,
+    verify_smtt,
 )
 
 BIPYR_REDUCED = [
@@ -261,6 +272,7 @@ def test_pi_products_bipyramid():
     assert pi_product(b, 0) == 5
     assert pi_product(b, 1) == 375  # 5 * (75 spanning trees of the 1-skeleton)
     assert pi_product(b, 2) == 1125
+    assert pseudo_determinant(laplacian(b, 2)) == 1  # the zero top Laplacian
 
 
 def test_pi_product_c3():
@@ -282,6 +294,81 @@ def test_alternating_order_matches_group_order():
         val = alternating_order(comp, i)
         assert val == Fraction(expected)
         assert critical_group_direct(comp, i).order == expected
+
+
+# LM_TORSION and 18 more seeded LM(n, p, seed), n <= 12, all with torsion
+# in K_1; 14 of the 30 have H_1 finite
+LM_PDET = LM_TORSION + [
+    (6, 0.4, 4), (6, 0.5, 1), (7, 0.3, 1), (7, 0.5, 1), (7, 0.5, 4), (7, 0.6, 1),
+    (8, 0.5, 1), (8, 0.6, 1), (8, 0.6, 2), (9, 0.4, 1), (9, 0.4, 4), (9, 0.5, 1),
+    (9, 0.6, 1), (10, 0.4, 1), (10, 0.4, 4), (10, 0.6, 1), (11, 0.3, 1), (12, 0.3, 1),
+]
+RP2_CONE_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)]
+
+
+def pdet_by_char_poly(a):
+    """The pseudo-determinant as the lowest nonzero coefficient of the
+    characteristic polynomial (Faddeev-LeVerrier), in absolute value."""
+    return next(abs(c) for c in reversed(char_poly(a)) if c)
+
+
+def test_pseudo_determinants_match_char_poly_oracle():
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
+    alt_checked = 0
+    for comp in [rp2, rp2_cone] + [linial_meshulam(*spec) for spec in LM_PDET]:
+        assert critical_group_direct(comp, 1).torsion
+        # j = dim + 1 is the zero Laplacian of the top dimension
+        for j in range(comp.dim + 2):
+            lap = laplacian(comp, j - 1)
+            want = pdet_by_char_poly(lap)
+            assert pseudo_determinant(lap) == want, (comp, j)
+            if j <= comp.dim:
+                assert pi_product(comp, j) == want, (comp, j)
+                bd = comp.boundary_matrix(j)
+                # the down-up Laplacian has the same nonzero eigenvalues
+                assert pseudo_determinant(bd.transpose() * bd) == want, (comp, j)
+        # |K_i| = tau_{i+1} / |H_{i-1}|^2 is the alternating product when
+        # beta~_j = 0 for j <= i (so K_i is finite) and a torsion-free
+        # i-tree exists
+        for i in range(comp.dim):
+            if not comp.is_apc(i + 1) or find_torsion_free_tree(comp, i) is None:
+                continue
+            group = critical_group_direct(comp, i)
+            assert group.betti == 0
+            assert alternating_order(comp, i) == group.order, (comp, i)
+            alt_checked += i == 1
+    assert alt_checked == 16  # RP^2, the coned RP^2 and 14 LM complexes
+
+
+def test_pi_product_without_a_tree():
+    # beta~_1 = 4: no 2-tree exists, and the column basis of d_2 is
+    # smaller than a tree would be
+    lm = linial_meshulam(8, 0.3, 1)
+    bd = lm.boundary_matrix(2)
+    basis = [j for j, _, taken in column_basis((j, bd.column(j)) for j in range(bd.cols)) if taken]
+    assert find_torsion_free_tree(lm, 2) is None
+    assert len(basis) == required_tree_size(lm, 2) - 4
+    assert pi_product(lm, 2) == pdet_by_char_poly(laplacian(lm, 1))
+
+
+def test_smtt_identities_on_torsion():
+    # the censuses are exhaustive, so only small inputs: every 1-tree of
+    # K_6 and every 2-tree of RP^2 (torsion 2), the coned RP^2 and LM(6, p)
+    comps = [SimplicialComplex.from_facets(RP2_FACETS),
+             SimplicialComplex.from_facets(RP2_CONE_FACETS)]
+    comps += [linial_meshulam(*spec) for spec in ((6, 0.5, 3), (6, 0.4, 4), (6, 0.5, 1))]
+    checked = 0
+    for comp in comps:
+        for i in (1, 2):
+            if not comp.is_apc(i):
+                with pytest.raises(NotAcyclicError):
+                    verify_smtt(comp, i)
+                continue
+            rep = verify_smtt(comp, i)
+            assert rep.ok, (comp, i, rep)
+            checked += 1
+    assert checked == 8
 
 
 def test_lattice_membership_of_reduced_laplacian_image():

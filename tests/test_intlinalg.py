@@ -286,11 +286,15 @@ def test_pseudo_determinant_zero_and_c3():
     assert pseudo_determinant(IntMatrix(0, 0)) == 1
     c3 = IntMatrix(3, 3, [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     assert pseudo_determinant(c3) == 9
+    # symmetric but indefinite: nonzero eigenvalues 3 and -1
+    assert pseudo_determinant(IntMatrix(3, 3, [[1, 2, 0], [2, 1, 0], [0, 0, 0]])) == 3
 
 
 def test_pseudo_determinant_rejects_asymmetric():
     with pytest.raises(ValueError):
         pseudo_determinant(IntMatrix(2, 2, [[1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match="non-square"):
+        pseudo_determinant(IntMatrix(2, 3))
 
 
 def test_pseudo_determinant_gram_symmetry():

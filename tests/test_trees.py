@@ -9,6 +9,7 @@ from simpcrit.generators import bipyramid, complete_graph, cycle, sphere
 from simpcrit.intlinalg import determinant
 from simpcrit.trees import (
     BudgetExceededError,
+    NotAcyclicError,
     NotATreeError,
     as_spanning_tree,
     enumerate_trees,
@@ -332,6 +333,15 @@ def test_smtt_rejects_census_of_wrong_dimension():
         verify_smtt(b, 2, census=enumerate_trees(b, 1))
     with pytest.raises(ValueError, match="1-tree census.*dimension 2"):
         verify_smtt(b, 2, census_prev=enumerate_trees(b, 2))
+
+
+def test_smtt_requires_apc():
+    # two disjoint solid tetrahedra: beta~_0 = 1, so the 1-skeleton is not
+    # APC; the theorem does not apply, and no FAIL is reported
+    comp = SimplicialComplex.from_facets([(1, 2, 3, 4), (5, 6, 7, 8)])
+    with pytest.raises(NotAcyclicError, match="1-skeleton is not acyclic"):
+        verify_smtt(comp, 1)
+    assert issubclass(NotAcyclicError, ValueError)
 
 
 def test_smtt_sphere():
