@@ -7,6 +7,12 @@ of Laplacian columns are equivalent, and the canonical coordinates of an
 equivalence class are residues modulo the invariant factors of the
 reduced Laplacian of a chosen torsion-free tree.
 
+Each of those cokernel maps costs one Smith form with transforms, paid
+lazily on first use and memoized on the complex: one per dimension for
+``equivalent``, one per (dimension, tree) each for ``to_group_element``
+and ``extend_to_conservative``.  Every later query is a few
+matrix-vector products.
+
 In dimension > 0 no canonical notion of stability is known, so firing
 there is exposed as pure linear algebra only; the stable / recurrent /
 critical machinery below is for graphs (dimension-0 configurations with
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, make_face
 from .critical import _theta_indices, laplacian, reduced_laplacian
-from .intlinalg import lattice_membership, smith_normal_form
+from .intlinalg import _solve, smith_normal_form
 from .trees import as_spanning_tree, require_torsion_free
 
 
@@ -86,7 +92,8 @@ def extend_to_conservative(comp: SimplicialComplex, i, tree, theta_values) -> tu
     faces outside the tree.
 
     The tree must be torsion-free; existence and uniqueness of the
-    extension are exactly what that hypothesis buys.
+    extension are exactly what that hypothesis buys.  The Smith form of
+    the tree's boundary columns is computed once per (complex, i, tree).
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
@@ -97,26 +104,69 @@ def extend_to_conservative(comp: SimplicialComplex, i, tree, theta_values) -> tu
         )
     bd = comp.boundary_matrix(i)
     tree_cols = [comp.face_index(i, f) for f in tree.top_faces]
-    rows = range(bd.rows)
-    rhs = bd.submatrix(rows, theta).apply(theta_values)
-    x = lattice_membership(bd.submatrix(rows, tree_cols), [-r for r in rhs])
-    if x is None:
-        raise AssertionError("torsion-free tree failed to absorb the boundary")
     out = [0] * bd.cols
     for j, v in zip(theta, theta_values):
         out[j] = v
+    s = comp._memoized(
+        ("tree_boundary_snf", i, tree.top_faces),
+        lambda: smith_normal_form(bd.submatrix(range(bd.rows), tree_cols)),
+    )
+    x = _solve(s, [-r for r in bd.apply(out)])
+    if x is None:
+        raise AssertionError("torsion-free tree failed to absorb the boundary")
     for j, v in zip(tree_cols, x):
         out[j] = v
     return tuple(out)
 
 
+def _dot(row, values):
+    return sum(a * x for a, x in zip(row, values) if a)
+
+
+def _torsion_rows(s):
+    """(j, row j of U mod d_j, d_j) for each invariant factor d_j > 1 of
+    the Smith form U * A * V = diag(d); rows with d_j = 1 test nothing."""
+    return tuple(
+        (j, tuple(x % d for x in s.u.data[j]), d) for j, d in enumerate(s.d) if d > 1
+    )
+
+
+def _laplacian_image(comp, i):
+    """(torsion rows, free rows) that cut out the image of L_i: w lies in
+    it iff (U w)_j is divisible by d_j below the rank and zero beyond it.
+    The rows beyond the rank are kept exactly."""
+
+    def build():
+        s = smith_normal_form(laplacian(comp, i))
+        return _torsion_rows(s), s.u.data[s.rank:]
+
+    return comp._memoized(("laplacian_image", i), build)
+
+
 def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
     """True iff the difference lies in the integer column span of the
-    up-down Laplacian (i.e. some sequence of firings links the two)."""
+    up-down Laplacian (i.e. some sequence of firings links the two).
+
+    The Smith form of the Laplacian is computed once per (complex, i).
+    """
     a = _check_config(comp, i, values_a)
     b = _check_config(comp, i, values_b)
     diff = [x - y for x, y in zip(a, b)]
-    return lattice_membership(laplacian(comp, i), diff) is not None
+    torsion, free = _laplacian_image(comp, i)
+    return all(_dot(row, diff) % d == 0 for _, row, d in torsion) and not any(
+        _dot(row, diff) for row in free
+    )
+
+
+def _group_coordinates(comp, i, tree):
+    """(moduli, torsion rows) of the tree's reduced Laplacian, or None when
+    its cokernel has a free part, so that the failure is memoized too."""
+
+    def build():
+        s = smith_normal_form(reduced_laplacian(comp, i, tree))
+        return None if s.rank < s.source_rows else (s.d, _torsion_rows(s))
+
+    return comp._memoized(("group_coordinates", i, tree.top_faces), build)
 
 
 def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
@@ -125,7 +175,9 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
     ``values`` is either a full configuration or just the subvector on
     the faces outside the tree (which determines the class).  Firing any
     face never changes the result; two conservative configurations map
-    to the same element iff they are equivalent.
+    to the same element iff they are equivalent.  The Smith form of the
+    reduced Laplacian is computed once per (complex, i, tree); a residue
+    is then one dot product modulo its factor.
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
@@ -136,11 +188,14 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
         raise ValueError(
             f"expected a configuration of length {len(comp.faces(i))} or {len(theta)}"
         )
-    s = smith_normal_form(reduced_laplacian(comp, i, tree))
-    if s.rank < len(theta):
+    coords = _group_coordinates(comp, i, tree)
+    if coords is None:
         raise ValueError("critical group has a free part; residues are not canonical")
-    w = s.u.apply(values)
-    return GroupElement(moduli=s.d, residues=tuple(x % d for x, d in zip(w, s.d)))
+    moduli, rows = coords
+    residues = [0] * len(moduli)
+    for j, row, d in rows:
+        residues[j] = _dot(row, values) % d
+    return GroupElement(moduli=moduli, residues=tuple(residues))
 
 
 # -- graph chip-firing ------------------------------------------------------
@@ -201,28 +256,33 @@ def is_stable(state: ChipState) -> bool:
 def stabilize(state: ChipState):
     """Fire ready non-bank vertices until none can fire.
 
-    The lowest-labelled ready vertex fires first, which makes the run
-    deterministic; the final state and firing counts do not depend on
-    the order (the abelian property, exercised by the tests).
-    Returns (stable state, per-vertex firing counts).
+    A worklist holds the ready vertices.  A vertex with c chips and degree
+    deg fires c // deg times in one step, and a neighbour joins the list
+    when those chips make it ready.  The final state and the firing counts
+    do not depend on the order of the firings (the abelian property,
+    Bjorner-Lovasz-Shor 1991), so batching changes neither.  The cost is
+    O(deg) Python steps per batch, at most one batch per firing.
+    Returns (stable state, per-vertex firing counts in non-bank order).
     """
     _, nbrs = _graph(state.complex)
     non_bank = state.non_bank
     pos = {v: idx for idx, v in enumerate(non_bank)}
+    deg = [len(nbrs[v]) for v in non_bank]
+    adj = [[pos[w] for w in nbrs[v] if w in pos] for v in non_bank]
     chips = list(state.chips)
-    fired = {v: 0 for v in non_bank}
-    while True:
-        for idx, v in enumerate(non_bank):
-            deg = len(nbrs[v])
-            if chips[idx] >= deg:
-                chips[idx] -= deg
-                fired[v] += 1
-                for w in nbrs[v]:
-                    if w in pos:
-                        chips[pos[w]] += 1
-                break
-        else:
-            return ChipState(state.complex, state.bank, tuple(chips)), fired
+    counts = [0] * len(non_bank)
+    # a vertex is on the list iff it is ready, so it is never on it twice
+    ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
+    while ready:
+        idx = ready.pop()
+        k, chips[idx] = divmod(chips[idx], deg[idx])
+        counts[idx] += k
+        for w in adj[idx]:
+            c = chips[w]
+            chips[w] = c + k
+            if c < deg[w] <= c + k:
+                ready.append(w)
+    return ChipState(state.complex, state.bank, tuple(chips)), dict(zip(non_bank, counts))
 
 
 def fire_bank(state: ChipState) -> ChipState:

@@ -169,9 +169,10 @@ class IntMatrix:
 class SmithForm:
     """U * A * V = diag(d) with U, V unimodular and d_1 | d_2 | ... | d_r > 0.
 
-    ``u_inv`` and ``v_inv`` are the exact inverses of the transforms;
-    they come out of the reduction for free and are what make integer
-    solving and kernel-coordinate computations one matrix product away.
+    ``u_inv`` and ``v_inv`` are the exact inverses of the transforms.  No
+    library code reads them: integer solving and group coordinates use
+    ``u`` and ``v`` only.  They stay because the benchmark tracer reads
+    their bit-lengths and the tests check them.
     """
 
     d: tuple
@@ -599,14 +600,19 @@ def lattice_membership(a: IntMatrix, v):
     v = [int(x) for x in v]
     if len(v) != a.rows:
         raise ValueError("vector length does not match row count")
-    s = smith_normal_form(a)
+    return _solve(smith_normal_form(a), v)
+
+
+def _solve(s: SmithForm, v):
+    """``lattice_membership`` for the matrix whose Smith form is s, so that
+    callers that solve many times with one matrix pay its Smith form once."""
     w = s.u.apply(v)
-    y = [0] * a.cols
+    y = [0] * s.source_cols
     for j, dj in enumerate(s.d):
         q, r = divmod(w[j], dj)
         if r:
             return None
         y[j] = q
-    if any(w[j] for j in range(s.rank, a.rows)):
+    if any(w[j] for j in range(s.rank, s.source_rows)):
         return None
     return s.v.apply(y)

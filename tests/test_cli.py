@@ -337,7 +337,8 @@ def test_flags_accepted_before_or_after_subcommand(capsys):
 # ---- pinned reports ---------------------------------------------------------------------
 
 BIPYRAMID = ("--gen", "bipyramid")
-RP2 = ("--facets", "rp2.txt")
+RP2 = ("--facets", "rp2.txt")  # K_1 = Z/2 + Z/2, H_1 = Z/2
+K6 = ("--gen", "complete 6")
 LM10 = ("--facets", "lm10.txt")  # K_1 = Z + Z/2 + Z/2 + Z/688015002040
 LM14 = ("--facets", "lm14.txt")
 
@@ -373,6 +374,14 @@ PINNED_REPORTS = [
     (LM10 + ("verify", "main-thm", "--dim", "1"), "b6da5b9a028a6777"),
     (LM14 + ("critical-group", "--dim", "1"), "3d63e5cabda6b720"),
     (LM14 + ("verify", "main-thm", "--dim", "1"), "1be04b5052a43fef"),
+    (K6 + ("chip", "stabilize", "--bank", "6", "--chips", "40,0,7,3,12"), "11def4158b7dd4b6"),
+    (K6 + ("chip", "representative", "--bank", "6", "--chips", "9,1,0,4,2"), "050e3af45cb38f2b"),
+    (K6 + ("chip", "group-law", "--bank", "6", "--samples", "5"), "e848b0db22297b7a"),
+    (RP2 + ("flow", "canonical", "--dim", "1",
+            "--config", "1,0,2,0,0,-1,0,3,0,0,0,1,0,0,2"), "dcab9c39536a147e"),
+    (RP2 + ("flow", "equiv", "--dim", "1", "--config", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
+            "--config2", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,1"), "1ec551c2fb0ed8e5"),
+    (RP2 + ("flow", "extend", "--dim", "1", "--theta", "1,0,-2,0,3,0,0,1,0,0"), "51eb0d16059c03a8"),
 ]
 
 

@@ -1,11 +1,18 @@
 import random
-from itertools import product
+import sys
+from itertools import combinations, product
 
 import pytest
+from test_acceptance import RP2_FACETS, linial_meshulam
+from test_critical import LM_PDET
 
+from simpcrit import intlinalg
 from simpcrit.complexes import SimplicialComplex
+from simpcrit.critical import _theta_indices, laplacian, reduced_laplacian
 from simpcrit.flows import (
     ChipState,
+    GroupElement,
+    _graph,
     critical_representative,
     equivalent,
     extend_to_conservative,
@@ -18,10 +25,12 @@ from simpcrit.flows import (
     stabilize,
     to_group_element,
 )
-from simpcrit.generators import bipyramid, complete_graph, cycle
-from simpcrit.trees import TreeHasTorsionError, find_torsion_free_tree
+from simpcrit.generators import bipyramid, complete_graph, cycle, sphere
+from simpcrit.intlinalg import lattice_membership, smith_normal_form
+from simpcrit.trees import TreeHasTorsionError, find_torsion_free_tree, is_spanning_tree
 
 STAR_TREE = [(1, 2), (1, 3), (1, 4), (1, 5)]
+PATH_TREE = [(1, 2), (2, 3), (3, 4), (3, 5)]
 
 
 # ---- firing ----------------------------------------------------------------
@@ -405,3 +414,208 @@ def test_bank_fire_adds_to_neighbors():
     s = fire_bank(ChipState(c4, 4, (0, 0, 0)))
     assert s.chips == (1, 0, 1)
     assert is_stable(s)
+
+
+def stabilize_lowest_label(state):
+    """Test oracle: fire the lowest-labelled ready vertex once, then rescan
+    from the first vertex, until none is ready."""
+    _, nbrs = _graph(state.complex)
+    non_bank = state.non_bank
+    pos = {v: idx for idx, v in enumerate(non_bank)}
+    chips = list(state.chips)
+    fired = {v: 0 for v in non_bank}
+    while True:
+        for idx, v in enumerate(non_bank):
+            deg = len(nbrs[v])
+            if chips[idx] >= deg:
+                chips[idx] -= deg
+                fired[v] += 1
+                for w in nbrs[v]:
+                    if w in pos:
+                        chips[pos[w]] += 1
+                break
+        else:
+            return tuple(chips), fired
+
+
+def test_stabilize_matches_lowest_label_oracle():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        edges = {(v, v + 1) for v in range(1, n)}  # a spanning path keeps it connected
+        edges |= {e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.4}
+        comp = SimplicialComplex.from_facets(sorted(edges))
+        bank = rng.randint(1, n)
+        state = ChipState(comp, bank, tuple(rng.randint(0, 3 * n) for _ in range(n - 1)))
+        final, fired = stabilize(state)
+        want_chips, want_fired = stabilize_lowest_label(state)
+        assert final.chips == want_chips
+        assert list(fired.items()) == list(want_fired.items())
+
+
+def test_stabilize_a_million_chips():
+    k12 = complete_graph(12)
+    start = (10**6,) + (0,) * 10
+    final, fired = stabilize(ChipState(k12, 12, start))
+    _, nbrs = _graph(k12)
+    for v, c0, c1 in zip(final.non_bank, start, final.chips):
+        moved = len(nbrs[v]) * fired[v] - sum(fired.get(w, 0) for w in nbrs[v])
+        assert c0 - moved == c1
+    assert is_stable(final)
+
+
+# ---- prepared cokernel maps against the per-call Smith forms -------------------------
+
+def extend_oracle(comp, i, tree, theta_values):
+    """The conservative extension by a fresh lattice solve with the tree's
+    boundary columns."""
+    theta = _theta_indices(comp, i, tree)
+    bd = comp.boundary_matrix(i)
+    tree_cols = [comp.face_index(i, f) for f in tree.top_faces]
+    rows = range(bd.rows)
+    rhs = bd.submatrix(rows, theta).apply(theta_values)
+    x = lattice_membership(bd.submatrix(rows, tree_cols), [-r for r in rhs])
+    out = [0] * bd.cols
+    for j, v in zip(theta, theta_values):
+        out[j] = v
+    for j, v in zip(tree_cols, x):
+        out[j] = v
+    return tuple(out)
+
+
+def group_element_oracle(comp, i, tree, theta_values):
+    """Residues of U * theta modulo the invariant factors, U from a fresh
+    Smith form of the reduced Laplacian."""
+    s = smith_normal_form(reduced_laplacian(comp, i, tree))
+    w = s.u.apply(theta_values)
+    return GroupElement(s.d, tuple(x % d for x, d in zip(w, s.d)))
+
+
+def check_equivalent(comp, i, rng, pairs):
+    """equivalent() against lattice_membership on pairs linked by firing
+    and on unrelated pairs; repeated calls agree."""
+    lap = laplacian(comp, i)
+    n = len(comp.faces(i))
+    for _ in range(pairs):
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        moves = lap.apply([rng.randint(-2, 2) for _ in range(n)])
+        linked = [x - y for x, y in zip(a, moves)]
+        other = [x + (k == 0) for k, x in enumerate(linked)]
+        for b in (linked, other, [rng.randint(-3, 3) for _ in range(n)]):
+            want = lattice_membership(lap, [x - y for x, y in zip(a, b)]) is not None
+            assert equivalent(comp, i, a, b) is want
+            assert equivalent(comp, i, b, a) is want
+        assert equivalent(comp, i, a, linked)
+
+
+def check_tree_maps(comp, i, tree, rng, vectors):
+    """to_group_element and extend_to_conservative against their oracles;
+    two vectors get the same element iff equivalent() says so."""
+    m = len(_theta_indices(comp, i, tree))
+    thetas = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(vectors)]
+    thetas.append([0] * m)
+    elements = []
+    for t in thetas:
+        ext = extend_to_conservative(comp, i, tree, t)
+        assert ext == extend_oracle(comp, i, tree, t)
+        assert extend_to_conservative(comp, i, tree, t) == ext
+        g = to_group_element(comp, i, tree, t)
+        assert g == group_element_oracle(comp, i, tree, t)
+        assert to_group_element(comp, i, tree, ext) == g
+        elements.append((ext, g))
+    for (e1, g1), (e2, g2) in combinations(elements, 2):
+        assert (g1 == g2) == equivalent(comp, i, e1, e2)
+
+
+def test_prepared_maps_match_oracles_on_small_complexes():
+    rng = random.Random(71)
+    b = bipyramid()
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    for comp, dims in ((b, (0, 1, 2)), (sphere(2), (0, 1)), (cycle(6), (0,)),
+                       (complete_graph(5), (0,)), (rp2, (0, 1))):
+        for i in dims:
+            check_equivalent(comp, i, rng, 4)
+    for comp, i in ((b, 0), (b, 1), (sphere(2), 1), (cycle(6), 0), (complete_graph(5), 0),
+                    (rp2, 1)):
+        check_tree_maps(comp, i, find_torsion_free_tree(comp, i), rng, 6)
+    check_tree_maps(b, 1, is_spanning_tree(b, 1, PATH_TREE), rng, 6)
+
+
+def test_prepared_maps_match_oracles_on_torsion():
+    rng = random.Random(72)
+    finite = 0
+    for spec in LM_PDET:
+        comp = linial_meshulam(*spec)
+        check_equivalent(comp, 1, rng, 1)
+        tree = find_torsion_free_tree(comp, 1)
+        if comp.reduced_homology(1).betti:
+            for _ in range(2):
+                with pytest.raises(ValueError, match="free part"):
+                    to_group_element(comp, 1, tree, [0] * len(_theta_indices(comp, 1, tree)))
+            continue
+        finite += 1
+        check_tree_maps(comp, 1, tree, rng, 2)
+    assert finite == 14
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Shapes of the matrices handed to smith_normal_form, through any
+    module's binding of it."""
+    calls = []
+    original = intlinalg.smith_normal_form
+
+    def counted(a):
+        calls.append((a.rows, a.cols))
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name == "simpcrit" or name.startswith("simpcrit."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_one_smith_form_per_memo_key(snf_calls):
+    comp = linial_meshulam(9, 0.5, 2)
+    assert not comp.reduced_homology(1).betti
+    tree = find_torsion_free_tree(comp, 1)
+    theta = _theta_indices(comp, 1, tree)
+    n, m = len(comp.faces(1)), len(theta)
+    rng = random.Random(73)
+    for k in range(50):
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        if k % 3 == 0:
+            assert equivalent(comp, 1, x, fire(comp, 1, x, rng.choice(comp.faces(1))))
+        elif k % 3 == 1:
+            assert to_group_element(comp, 1, tree, x) == to_group_element(
+                comp, 1, tree, [x[j] for j in theta])
+        else:
+            assert is_conservative(comp, 1, extend_to_conservative(comp, 1, tree, x[:m]))
+    # the Laplacian, the reduced Laplacian and the tree's boundary columns
+    assert sorted(snf_calls) == sorted([(n, n), (m, m), (len(comp.faces(0)), len(tree.top_faces))])
+
+
+def test_each_tree_gets_its_own_prepared_map(snf_calls):
+    b = bipyramid()
+    trees = [find_torsion_free_tree(b, 1), is_spanning_tree(b, 1, PATH_TREE)]
+    assert trees[0].top_faces != trees[1].top_faces
+    rng = random.Random(74)
+    confs = [extend_to_conservative(b, 1, trees[0], [rng.randint(-2, 2) for _ in range(5)])
+             for _ in range(8)]
+    for c1, c2 in combinations(confs, 2):
+        same = [to_group_element(b, 1, t, c1) == to_group_element(b, 1, t, c2) for t in trees]
+        assert same == [equivalent(b, 1, c1, c2)] * 2
+    # one extension and two coordinate maps, one Laplacian
+    assert sorted(snf_calls) == [(5, 4), (5, 5), (5, 5), (9, 9)]
+
+
+def test_free_part_raises_on_every_call(snf_calls):
+    # the hollow triangle 345 leaves a free Z in K_1
+    comp = SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (3, 5), (4, 5)])
+    tree = find_torsion_free_tree(comp, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="free part"):
+            to_group_element(comp, 1, tree, [0] * 2)
+    assert len(snf_calls) == 1
