@@ -56,10 +56,6 @@ EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
 
-class CliInputError(Exception):
-    pass
-
-
 # -- input handling ---------------------------------------------------------
 
 
@@ -76,28 +72,22 @@ def load_facet_file(path):
                 try:
                     facets.append([int(tok) for tok in line.split()])
                 except ValueError:
-                    raise CliInputError(f"{path}:{lineno}: not an integer list: {line!r}")
+                    raise ValueError(f"{path}:{lineno}: not an integer list: {line!r}")
     except OSError as exc:
-        raise CliInputError(f"cannot read facet file: {exc}")
+        raise ValueError(f"cannot read facet file: {exc}")
     if not facets:
-        raise CliInputError(f"{path}: no facets found")
+        raise ValueError(f"{path}: no facets found")
     return facets
 
 
 def _load_complex(args):
     if args.gen and args.facets:
-        raise CliInputError("give either --gen or --facets, not both")
+        raise ValueError("give either --gen or --facets, not both")
     if args.gen:
-        try:
-            return generators.from_spec(args.gen), f"gen {args.gen}"
-        except ValueError as exc:
-            raise CliInputError(str(exc))
+        return generators.from_spec(args.gen), f"gen {args.gen}"
     if args.facets:
-        try:
-            return SimplicialComplex.from_facets(load_facet_file(args.facets)), f"file {args.facets}"
-        except ValueError as exc:
-            raise CliInputError(str(exc))
-    raise CliInputError("no complex given: use --gen SPEC or --facets FILE")
+        return SimplicialComplex.from_facets(load_facet_file(args.facets)), f"file {args.facets}"
+    raise ValueError("no complex given: use --gen SPEC or --facets FILE")
 
 
 def _digest(comp):
@@ -109,7 +99,7 @@ def _parse_ints(text, what):
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise CliInputError(f"{what} must be a list of integers, got {text!r}")
+        raise ValueError(f"{what} must be a list of integers, got {text!r}")
 
 
 def _resolve_tree(comp, dim, spec):
@@ -132,7 +122,7 @@ def _resolve_tree(comp, dim, spec):
 def _check_dim(comp, dim, top_allowed):
     hi = comp.dim if top_allowed else comp.dim - 1
     if not 0 <= dim <= hi:
-        raise CliInputError(f"--dim {dim} out of range [0, {hi}] for this complex")
+        raise ValueError(f"--dim {dim} out of range [0, {hi}] for this complex")
 
 
 # -- report plumbing --------------------------------------------------------
@@ -277,7 +267,7 @@ def _cmd_trees(args, comp, source):
 def _cmd_verify_smtt(args, comp, source):
     _check_dim(comp, args.dim, top_allowed=True)
     if args.dim < 1:
-        raise CliInputError("--dim must be at least 1 for the matrix-tree identities")
+        raise ValueError("--dim must be at least 1 for the matrix-tree identities")
     rep = verify_smtt(comp, args.dim, budget=args.budget)
     result = {
         "dimension": args.dim,
@@ -348,7 +338,7 @@ def _cmd_verify_main_thm(args, comp, source):
 def _cmd_verify_sphere(args, comp, source):
     d = comp.dim
     if d < 1:
-        raise CliInputError("sphere check needs dimension at least 1")
+        raise ValueError("sphere check needs dimension at least 1")
     n_facets = len(comp.faces(d))
     # pseudomanifold sanity: every ridge in exactly two facets
     ridge_deg = {}
@@ -463,14 +453,11 @@ def _cmd_flow(args, comp, source):
             "residues": _factors(g.residues),
         }
         return _report("flow canonical", source, comp, result), EXIT_OK
-    raise CliInputError(f"unknown flow subcommand {args.flow_cmd!r}")
+    raise ValueError(f"unknown flow subcommand {args.flow_cmd!r}")
 
 
 def _chip_state(args, comp):
-    try:
-        return ChipState(comp, args.bank, tuple(_parse_ints(args.chips, "--chips")))
-    except ValueError as exc:
-        raise CliInputError(str(exc))
+    return ChipState(comp, args.bank, tuple(_parse_ints(args.chips, "--chips")))
 
 
 def _cmd_chip(args, comp, source):
@@ -485,12 +472,7 @@ def _cmd_chip(args, comp, source):
         }
         return _report("chip stabilize", source, comp, result), EXIT_OK
     if args.chip_cmd == "recurrent":
-        state = _chip_state(args, comp)
-        try:
-            rec = is_recurrent(state)
-        except ValueError as exc:
-            raise CliInputError(str(exc))
-        result = {"bank": args.bank, "recurrent": rec}
+        result = {"bank": args.bank, "recurrent": is_recurrent(_chip_state(args, comp))}
         return _report("chip recurrent", source, comp, result), EXIT_OK
     if args.chip_cmd == "representative":
         state = _chip_state(args, comp)
@@ -509,12 +491,10 @@ def _cmd_chip(args, comp, source):
                 _parse_ints(args.chips2, "--chips2"),
             )]
         elif args.chips or args.chips2:
-            raise CliInputError("group-law needs both --chips and --chips2, or neither")
+            raise ValueError("group-law needs both --chips and --chips2, or neither")
         else:
             k = len(comp.vertices()) - 1
-            bound = 2 * max(
-                sum(1 for e in comp.faces(1) if v in e) for v in comp.vertices()
-            )
+            bound = 2 * max(len(ws) for ws in comp.neighbors().values())
             pairs = [
                 (
                     [rng.randrange(bound + 1) for _ in range(k)],
@@ -542,7 +522,7 @@ def _cmd_chip(args, comp, source):
         return _report("chip group-law", source, comp, result), (
             EXIT_OK if holds else EXIT_VERIFY
         )
-    raise CliInputError(f"unknown chip subcommand {args.chip_cmd!r}")
+    raise ValueError(f"unknown chip subcommand {args.chip_cmd!r}")
 
 
 # -- parser -----------------------------------------------------------------
@@ -670,9 +650,6 @@ def main(argv=None) -> int:
         else:
             handler = _DISPATCH[args.command]
         report, code = handler(args, comp, source)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (NotATreeError, TreeHasTorsionError, NotAcyclicError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -85,10 +85,6 @@ class SimplicialComplex:
             raise ValueError(f"{tuple(face)} is not a {i}-face of the complex")
         return idx
 
-    def has_face(self, face) -> bool:
-        face = tuple(face)
-        return face in self._index.get(len(face) - 1, {})
-
     def f_vector(self) -> tuple:
         return tuple(len(self._faces[i]) for i in range(-1, self.dim + 1))
 
@@ -144,10 +140,6 @@ class SimplicialComplex:
 
         return self._memoized(("boundary", i), build)
 
-    def coboundary_matrix(self, i) -> IntMatrix:
-        """Transpose of the boundary matrix (chains identified with cochains)."""
-        return self.boundary_matrix(i).transpose()
-
     # -- homology ------------------------------------------------------
 
     def reduced_homology(self, i) -> AbelianGroup:
@@ -167,14 +159,7 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         """True iff every maximal face has the top dimension."""
-        for k in range(self.dim):
-            covered = set()
-            for f in self._faces[k + 1]:
-                for j in range(len(f)):
-                    covered.add(f[:j] + f[j + 1:])
-            if len(covered) != len(self._faces[k]):
-                return False
-        return True
+        return all(len(f) == self.dim + 1 for f in self.facets())
 
     def is_apc(self, k=None) -> bool:
         """Acyclic in positive codimension: rational homology vanishes below

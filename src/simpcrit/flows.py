@@ -164,7 +164,7 @@ def _group_coordinates(comp, i, tree):
 
     def build():
         s = smith_normal_form(reduced_laplacian(comp, i, tree))
-        return None if s.rank < s.source_rows else (s.d, _torsion_rows(s))
+        return None if s.rank < s.u.rows else (s.d, _torsion_rows(s))
 
     return comp._memoized(("group_coordinates", i, tree.top_faces), build)
 

@@ -27,7 +27,10 @@ from math import gcd, prod
 class IntMatrix:
     """A dense rows x cols matrix of Python ints.
 
-    0 x n and n x 0 matrices are legal.  Instances are treated as
+    0 x n and n x 0 matrices are legal.  The operations are the ones the
+    library builds its maps from: the matrix product ``*``, ``transpose``,
+    ``submatrix``, ``apply`` (matrix times vector), and equality, with
+    another matrix or with 0 (the zero test).  Instances are treated as
     immutable by the rest of the library: every operation returns a new
     matrix, and matrices handed out by caching layers must not be
     mutated.
@@ -49,18 +52,9 @@ class IntMatrix:
             self.data = data
 
     @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
+    def diagonal(cls, entries):
         entries = [int(x) for x in entries]
-        r = len(entries) if rows is None else rows
-        c = len(entries) if cols is None else cols
-        m = cls(r, c)
+        m = cls(len(entries), len(entries))
         for i, e in enumerate(entries):
             m.data[i][i] = e
         return m
@@ -122,32 +116,7 @@ class IntMatrix:
                             if b:
                                 orow[j] += a * b
             return out
-        if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, [[other * x for x in r] for r in self.data])
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("incompatible shapes for matrix sum")
-        return IntMatrix(
-            self.rows, self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __neg__(self):
-        return IntMatrix(self.rows, self.cols, [[-x for x in r] for r in self.data])
 
     def __eq__(self, other):
         if isinstance(other, IntMatrix):
@@ -155,9 +124,6 @@ class IntMatrix:
         if other == 0:
             return all(x == 0 for r in self.data for x in r)
         return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
 
     def __repr__(self):
         if self.rows * self.cols <= 36:
@@ -181,11 +147,6 @@ class SmithForm:
     v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
-    source_rows: int
-    source_cols: int
-
-    def diagonal_matrix(self):
-        return IntMatrix.diagonal(self.d, self.source_rows, self.source_cols)
 
 
 @dataclass(frozen=True)
@@ -367,8 +328,6 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
         v=IntMatrix(a.cols, a.cols, V),
         u_inv=IntMatrix(a.rows, a.rows, Ui),
         v_inv=IntMatrix(a.cols, a.cols, Vi),
-        source_rows=a.rows,
-        source_cols=a.cols,
     )
 
 
@@ -607,12 +566,12 @@ def _solve(s: SmithForm, v):
     """``lattice_membership`` for the matrix whose Smith form is s, so that
     callers that solve many times with one matrix pay its Smith form once."""
     w = s.u.apply(v)
-    y = [0] * s.source_cols
+    y = [0] * s.v.rows
     for j, dj in enumerate(s.d):
         q, r = divmod(w[j], dj)
         if r:
             return None
         y[j] = q
-    if any(w[j] for j in range(s.rank, s.source_rows)):
+    if any(w[j] for j in range(s.rank, s.u.rows)):
         return None
     return s.v.apply(y)

@@ -17,6 +17,7 @@ restricted boundary matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .complexes import SimplicialComplex, make_face
 from .intlinalg import column_basis, determinant, eliminate, invariant_factors, rank
@@ -78,6 +79,13 @@ def _check_dim(comp, i):
         raise ValueError(f"dimension {i} out of range [0, {comp.dim}]")
 
 
+def _rank_and_torsion(bd, cols):
+    """(rank, torsion order) of the boundary columns ``cols`` of bd: the
+    number and the product of the invariant factors of that submatrix."""
+    facs = invariant_factors(bd.submatrix(range(bd.rows), cols))
+    return len(facs), prod(facs)
+
+
 def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     """The SpanningTree on those i-faces, or None if they are not one.
 
@@ -89,13 +97,9 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     cols = [comp.face_index(i, f) for f in fs]
     if len(fs) != required_tree_size(comp, i):
         return None
-    sub = comp.boundary_matrix(i).submatrix(range(len(comp.faces(i - 1))), cols)
-    facs = invariant_factors(sub)
-    if len(facs) != len(fs):
+    r, torsion = _rank_and_torsion(comp.boundary_matrix(i), cols)
+    if r != len(fs):
         return None
-    torsion = 1
-    for f in facs:
-        torsion *= f
     return SpanningTree(dimension=i, top_faces=tuple(fs), torsion_order=torsion)
 
 
@@ -184,11 +188,7 @@ class _EnumState:
 
 
 def _record(state, chosen):
-    rows = range(state.bd.rows)
-    sub = state.bd.submatrix(rows, chosen)
-    torsion = 1
-    for f in invariant_factors(sub):
-        torsion *= f
+    _, torsion = _rank_and_torsion(state.bd, chosen)
     tree = SpanningTree(
         dimension=state.census.dimension,
         top_faces=tuple(state.faces[j] for j in chosen),

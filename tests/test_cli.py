@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -73,6 +74,51 @@ def test_facet_file_errors(tmp_path, capsys):
 def test_no_source_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "info")
     assert code == 2
+
+
+C5 = ("--gen", "cycle 5")
+
+# (argv, the one stderr line); run in a directory holding bad.txt
+INPUT_ERRORS = [
+    (("--gen", "bipyramid", "--facets", "x.txt", "info"),
+     "give either --gen or --facets, not both"),
+    (("info",), "no complex given: use --gen SPEC or --facets FILE"),
+    (("--facets", "missing.txt", "info"),
+     f"cannot read facet file: [Errno 2] {os.strerror(errno.ENOENT)}: 'missing.txt'"),
+    (("--facets", "bad.txt", "info"), "bad.txt:1: not an integer list: '1 two 3'"),
+    (("--gen", "cycle 2", "info"), "a cycle needs at least 3 vertices"),
+    (("--gen", "dodecahedron", "info"), "unrecognized generator spec 'dodecahedron'"),
+    (("--gen", "bipyramid", "critical-group", "--dim", "2"),
+     "--dim 2 out of range [0, 1] for this complex"),
+    (("--gen", "bipyramid", "verify", "smtt", "--dim", "0"),
+     "--dim must be at least 1 for the matrix-tree identities"),
+    (("--gen", "simplex-skeleton 3 0", "verify", "sphere"),
+     "sphere check needs dimension at least 1"),
+    (("--gen", "bipyramid", "flow", "fire", "--dim", "1", "--config", "1,x", "--face", "2 3"),
+     "--config must be a list of integers, got '1,x'"),
+    (C5 + ("chip", "stabilize", "--bank", "9", "--chips", "1,0,0,0"),
+     "bank vertex 9 is not in the graph"),
+    (C5 + ("chip", "stabilize", "--bank", "5", "--chips", "1,0,0"),
+     "expected 4 chip counts, got 3"),
+    (C5 + ("chip", "stabilize", "--bank", "5", "--chips", "1,-1,0,0"),
+     "chip counts must be nonnegative"),
+    (C5 + ("chip", "recurrent", "--bank", "5", "--chips", "5,0,0,0"),
+     "recurrence is decided on stable states"),
+    (C5 + ("chip", "group-law", "--bank", "5", "--chips", "1,0,0,0"),
+     "group-law needs both --chips and --chips2, or neither"),
+    (("--gen", "simplex-skeleton 3 0", "chip", "stabilize", "--bank", "1", "--chips", "0,0"),
+     "chip-firing needs a complex with edges"),
+    (("--gen", "simplex-skeleton 3 0", "chip", "group-law", "--bank", "1"),
+     "chip-firing needs a complex with edges"),
+]
+
+
+@pytest.mark.parametrize("argv,message", INPUT_ERRORS, ids=[" ".join(a) for a, _ in INPUT_ERRORS])
+def test_input_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("1 two 3\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---- critical-group ---------------------------------------------------------------
@@ -395,3 +441,10 @@ def test_reports_are_pinned_byte_for_byte(argv, digest, tmp_path, monkeypatch, c
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def test_text_report_is_pinned_byte_for_byte(capsys):
+    # the text form of a report with a list of dicts under a dict
+    code, out, _ = run_cli(capsys, "--gen", "bipyramid", "trees", "--dim", "2", "--stream")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "140e1625d30ea19f"

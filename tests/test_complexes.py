@@ -90,7 +90,7 @@ def test_downward_closure():
     comp = SimplicialComplex.from_facets([(1, 2, 3, 4)])
     for k in range(1, 4):
         for sub in combinations((1, 2, 3, 4), k):
-            assert comp.has_face(sub)
+            assert sub in comp.faces(len(sub) - 1)
     assert comp.faces(-1) == ((),)
 
 
@@ -110,7 +110,8 @@ def test_bipyramid_boundary_shapes():
     b = bipyramid()
     assert (b.boundary_matrix(1).rows, b.boundary_matrix(1).cols) == (5, 9)
     assert (b.boundary_matrix(2).rows, b.boundary_matrix(2).cols) == (9, 7)
-    assert (b.coboundary_matrix(2).rows, b.coboundary_matrix(2).cols) == (7, 9)
+    cb = b.boundary_matrix(2).transpose()
+    assert (cb.rows, cb.cols) == (7, 9)
 
 
 @pytest.mark.parametrize(
@@ -122,12 +123,6 @@ def test_bipyramid_boundary_shapes():
 def test_boundary_squares_to_zero(comp):
     for i in range(0, comp.dim):
         assert comp.boundary_matrix(i) * comp.boundary_matrix(i + 1) == 0
-
-
-def test_coboundary_is_transpose():
-    b = bipyramid()
-    for i in range(-1, b.dim + 1):
-        assert b.coboundary_matrix(i) == b.boundary_matrix(i).transpose()
 
 
 def test_boundary_matrix_out_of_range():

@@ -91,7 +91,7 @@ def test_laplacian_psd_witness():
     rng = random.Random(2)
     b = bipyramid()
     lap = laplacian(b, 1)
-    cb = b.coboundary_matrix(2)
+    cb = b.boundary_matrix(2).transpose()
     for _ in range(25):
         x = [rng.randint(-5, 5) for _ in range(9)]
         quad = sum(xi * yi for xi, yi in zip(x, lap.apply(x)))
