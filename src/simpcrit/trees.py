@@ -12,6 +12,14 @@ number must equal f_i - beta_i + beta_{i-1} of the i-skeleton.  The
 remaining tree condition then follows, and the torsion order
 |H_{i-1}(tree)| is the product of the invariant factors of the
 restricted boundary matrix.
+
+The exhaustive search reads the torsion off its last Bareiss pivot
+instead.  By the determinant lemma of Duval, Klivans and Martin
+(Simplicial matrix-tree theorems, Trans. AMS 2009), the square minor of
+d_i on the rows outside a fixed (i-1)-basis and the columns of a tree T
+is +-c |H_{i-1}(T)|, with an index c that does not depend on T.  The
+search calibrates c with one Smith form at its first leaf and divides
+every leaf's pivot by it, exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import column_basis, determinant, eliminate, invariant_factors, rank
+from .intlinalg import column_basis, determinant, invariant_factors, rank
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -187,8 +195,7 @@ class _EnumState:
         c.extensions += n
 
 
-def _record(state, chosen):
-    _, torsion = _rank_and_torsion(state.bd, chosen)
+def _record(state, chosen, torsion):
     tree = SpanningTree(
         dimension=state.census.dimension,
         top_faces=tuple(state.faces[j] for j in chosen),
@@ -202,17 +209,32 @@ def _record(state, chosen):
         raise _StopStream
 
 
+def _exact_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"leaf minor {a} is not a multiple of {b}")
+    return q
+
+
 def _dfs(state, root):
     """The search, with an explicit stack so that its depth costs no
-    Python frames.  ``levels[k]`` is [candidates, next position] below
-    ``chosen[:k]``: (face index, column reduced against the chosen
-    columns), nonzero, in increasing index order."""
+    Python frames.  ``levels[k]`` is [candidates, next position, pivot]
+    below ``chosen[:k]``: (face index, column reduced against the chosen
+    columns), nonzero, in increasing index order, and the pivot taken at
+    level k - 1 (1 at the root).
+
+    ``root`` holds the columns of d_i on the ``need`` rows of
+    ``_rows_outside_basis``.  Each step is Bareiss's, divided exactly by
+    the parent pivot, so a level-k entry is a (k+1)-minor and a leaf's
+    one nonzero entry is +-det d_i[rows, tree] = c |H_{i-1}(tree)| (see
+    the module docstring).  The first leaf reads c off one Smith form."""
     need = state.need
     chosen = []
-    levels = [[root, 0]]
+    levels = [[root, 0, 1]]
+    index = None
     while levels:
         level = levels[-1]
-        cands, pos = level
+        cands, pos, prev = level
         left = need - len(chosen)
         if len(cands) - pos < left:
             levels.pop()
@@ -222,26 +244,34 @@ def _dfs(state, root):
         level[1] = pos + 1
         j, vec = cands[pos]
         if left == 1:
-            _record(state, chosen + [j])
+            tree = chosen + [j]
+            det = abs(next(x for x in vec if x))
+            if index is None:
+                index = _exact_div(det, _rank_and_torsion(state.bd, tree)[1])
+            _record(state, tree, _exact_div(det, index))
             continue
         # take candidate #pos and reduce the rest against its column
         state.charge(len(cands) - pos - 1)
         p = 0
         while not vec[p]:
             p += 1
+        a = vec[p]
         child = []
         for k in range(pos + 1, len(cands)):
             cand = cands[k]
             v2 = cand[1]
-            if v2[p]:
-                w = eliminate(v2, vec, p)
+            c = v2[p]
+            if c:
+                w = [(a * x - c * y) // prev for x, y in zip(v2, vec)]
                 if any(w):
                     child.append((cand[0], w))
-            else:
+            elif a == prev:
                 child.append(cand)
+            else:
+                child.append((cand[0], [a * x // prev for x in v2]))
         if len(child) >= left - 1:
             chosen.append(j)
-            levels.append([child, 0])
+            levels.append([child, 0, a])
 
 
 def _descend(state, cands):
@@ -256,14 +286,27 @@ def _descend(state, cands):
         if taken:
             chosen.append(j)
             if len(chosen) == state.need:
-                _record(state, chosen)
+                _record(state, chosen, _rank_and_torsion(state.bd, chosen)[1])
                 return
 
 
-def _root_candidates(bd):
+def _root_candidates(bd, rows):
     # boundary columns have entries 0 and +-1, so they are already primitive
-    cols = (bd.column(j) for j in range(bd.cols))
+    data = [bd.data[r] for r in rows]
+    cols = ([row[j] for row in data] for j in range(bd.cols))
     return ((j, col) for j, col in enumerate(cols) if any(col))
+
+
+def _rows_outside_basis(comp, i):
+    """The (i-1)-faces outside the first maximal independent set of
+    columns of d_{i-1}: f_{i-1} - rank d_{i-1} = ``required_tree_size``
+    of them.  A chain in ker d_{i-1} that vanishes on them is a relation
+    among independent columns, so it is zero: restricting to these rows
+    is injective on ker d_{i-1}, which holds the columns of d_i.  Column
+    sets of d_i are independent on these rows iff they are on all."""
+    bd = comp.boundary_matrix(i - 1)
+    basis = {j for j, _, taken in column_basis(_root_candidates(bd, range(bd.rows))) if taken}
+    return [r for r in range(bd.cols) if r not in basis]
 
 
 def enumerate_trees(
@@ -302,11 +345,11 @@ def _search(comp, i, budget, on_tree, descend=False):
     census = state.census
     try:
         if state.need == 0:
-            _record(state, [])
+            _record(state, [], 1)  # no columns: no invariant factors
         elif descend:
-            _descend(state, _root_candidates(state.bd))
+            _descend(state, _root_candidates(state.bd, range(state.bd.rows)))
         else:
-            _dfs(state, list(_root_candidates(state.bd)))
+            _dfs(state, list(_root_candidates(state.bd, _rows_outside_basis(comp, i))))
     except BudgetExceededError:
         census.complete = False
         census.warnings += (

@@ -78,7 +78,7 @@ def big_skeleton():
 @pytest.fixture(scope="module")
 def big_census(big_skeleton):
     # shared between the SMTT check (criterion 6) and the extended
-    # census (criterion 7); about five seconds of enumeration
+    # census (criterion 7); 46,620 leaves, about a second of enumeration
     return enumerate_trees(big_skeleton, 2)
 
 

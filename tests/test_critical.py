@@ -341,6 +341,24 @@ def test_pseudo_determinants_match_char_poly_oracle():
     assert alt_checked == 16  # RP^2, the coned RP^2 and 14 LM complexes
 
 
+def test_reduced_route_matches_direct_on_torsion():
+    # the two routes to K_i on every LM_PDET complex (criterion 3 runs the
+    # 12 LM_TORSION ones), RP^2 and the coned RP^2, at each i with a
+    # torsion-free i-tree
+    comps = [SimplicialComplex.from_facets(RP2_FACETS),
+             SimplicialComplex.from_facets(RP2_CONE_FACETS)]
+    comps += [linial_meshulam(*spec) for spec in LM_PDET]
+    checked = 0
+    for comp in comps:
+        for i in range(comp.dim):
+            tree = find_torsion_free_tree(comp, i)
+            if tree is None:
+                continue
+            assert critical_group_reduced(comp, i, tree) == critical_group_direct(comp, i), (comp, i)
+            checked += 1
+    assert checked == 64
+
+
 def test_pi_product_without_a_tree():
     # beta~_1 = 4: no 2-tree exists, and the column basis of d_2 is
     # smaller than a tree would be

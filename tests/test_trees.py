@@ -3,14 +3,18 @@ from itertools import combinations
 import pytest
 from test_acceptance import linial_meshulam
 
+from simpcrit import trees
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import reduced_laplacian
-from simpcrit.generators import bipyramid, complete_graph, cycle, sphere
-from simpcrit.intlinalg import determinant
+from simpcrit.generators import bipyramid, complete_graph, cycle, simplex_skeleton, sphere
+from simpcrit.intlinalg import column_basis, determinant
 from simpcrit.trees import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     NotAcyclicError,
     NotATreeError,
+    _rank_and_torsion,
+    _search,
     as_spanning_tree,
     enumerate_trees,
     find_torsion_free_tree,
@@ -23,6 +27,9 @@ RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
 ]
+# RP^2 with the loop 4-5-6 coned off: its first 2-tree has torsion 2, a
+# later one none
+RP2_CONE_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)]
 
 
 # ---- oracles -------------------------------------------------------------
@@ -185,6 +192,110 @@ def test_stream_early_stop():
     assert not census.complete
 
 
+# ---- leaf torsion: the last Bareiss pivot against one Smith form per leaf ------
+
+def snf_torsion(comp, tree):
+    """|H_{i-1}(tree)| as the product of the invariant factors of the
+    tree's boundary columns: the per-leaf oracle."""
+    cols = [comp.face_index(tree.dimension, f) for f in tree.top_faces]
+    return _rank_and_torsion(comp.boundary_matrix(tree.dimension), cols)[1]
+
+
+def stream_leaves(comp, i, *, search=enumerate_trees, budget=DEFAULT_BUDGET, stop=None):
+    leaves = []
+    census = search(comp, i, budget=budget,
+                    on_tree=lambda t: leaves.append(t) or len(leaves) == stop)
+    return census, leaves
+
+
+def test_leaf_torsion_matches_smith_form():
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
+    cases = [(rp2, 1), (rp2, 2), (rp2_cone, 1), (rp2_cone, 2),
+             (bipyramid(), 0), (bipyramid(), 1), (bipyramid(), 2), (sphere(2), 1), (sphere(2), 2)]
+    for comp, i in cases:
+        census, leaves = stream_leaves(comp, i)
+        assert census.complete and census.count == len(leaves) > 0
+        for t in leaves:
+            assert t.torsion_order == snf_torsion(comp, t), (comp, i, t)
+    census = enumerate_trees(rp2_cone, 2)
+    assert (census.count, census.torsion_histogram, census.extensions) == (13, {2: 3, 1: 10}, 363)
+
+
+def test_census_leaf_torsion_matches_smith_form():
+    comp = simplex_skeleton(6, 2)
+    census, leaves = stream_leaves(comp, 2)
+    assert (census.count, census.tau, census.extensions) == (46620, 46656, 278544)
+    assert census.torsion_histogram == {1: 46608, 2: 12}
+    twisted = [t for t in leaves if t.torsion_order != 1]
+    assert len(twisted) == 12
+    for t in twisted + leaves[:2000]:
+        assert t.torsion_order == snf_torsion(comp, t), t
+    comp = simplex_skeleton(7, 2)
+    census, leaves = stream_leaves(comp, 2, budget=20_000, stop=5000)
+    assert (census.count, census.extensions, census.complete) == (5000, 13450, False)
+    for t in leaves:
+        assert t.torsion_order == snf_torsion(comp, t), t
+
+
+def test_leaf_torsion_with_a_twisted_basis(monkeypatch):
+    # the rows may lie outside any (i-1)-basis.  The 2-skeleton of the
+    # 5-simplex holds RP^2, and a 2-basis holding RP^2 has H_1 = Z/2, so
+    # every leaf's minor on the rows outside it is twice its torsion
+    comp = simplex_skeleton(6, 3)
+    bd = comp.boundary_matrix(2)
+    rp2 = [comp.face_index(2, f) for f in RP2_FACETS]
+    order = rp2 + [j for j in range(bd.cols) if j not in rp2]
+    basis = {j for j, _, taken in column_basis((j, bd.column(j)) for j in order) if taken}
+    assert set(rp2) <= basis
+    rows = [r for r in range(bd.cols) if r not in basis]
+    monkeypatch.setattr(trees, "_rows_outside_basis", lambda c, i: rows)
+    census, leaves = stream_leaves(comp, 3)
+    assert (census.count, census.extensions, census.torsion_histogram) == (1296, 11664, {1: 1296})
+    top = comp.boundary_matrix(3)
+    for t in leaves:
+        cols = [comp.face_index(3, f) for f in t.top_faces]
+        assert abs(determinant(top.submatrix(rows, cols))) == 2 * t.torsion_order
+        assert t.torsion_order == snf_torsion(comp, t), t
+
+
+def test_pinned_census_walks():
+    # the search on the rows outside an (i-1)-basis keeps every leaf and
+    # every extension of the search on all rows; simplex_skeleton(6, 2),
+    # with 278,544 extensions, is pinned above
+    pinned = ((bipyramid(), 15, 80), (sphere(2), 4, 9), (simplex_skeleton(5, 2), 125, 593))
+    for comp, count, extensions in pinned:
+        census = enumerate_trees(comp, 2)
+        assert (census.count, census.extensions) == (count, extensions), comp
+
+
+def test_full_search_without_apc():
+    # disjoint unions are not APC (beta~_0 = 1), so enumerate_trees
+    # declines them, but find_torsion_free_tree runs the full search
+    # whenever the first leaf has torsion
+    shifted = [tuple(v + 10 for v in f) for f in RP2_FACETS]
+    two_rp2 = SimplicialComplex.from_facets(RP2_FACETS + shifted)
+    assert not two_rp2.is_apc(2)
+    assert find_torsion_free_tree(two_rp2, 2) is None
+    census, _ = stream_leaves(two_rp2, 2, search=_search)
+    assert census.torsion_histogram == {4: 1}
+
+    # two disjoint coned RP^2: a tree is a pair of trees, one of each
+    shifted = [tuple(v + 10 for v in f) for f in RP2_CONE_FACETS]
+    two_cones = SimplicialComplex.from_facets(RP2_CONE_FACETS + shifted)
+    assert not two_cones.is_apc(2)
+    cone_tree = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6), (2, 3, 6),
+                 (2, 4, 5), (2, 5, 6), (3, 4, 5), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
+    want = tuple(cone_tree) + tuple(tuple(v + 10 for v in f) for f in cone_tree)
+    t = find_torsion_free_tree(two_cones, 2)
+    assert t.top_faces == want and t.torsion_order == 1
+    census, leaves = stream_leaves(two_cones, 2, search=_search)
+    assert (census.count, census.extensions) == (169, 16770)
+    assert census.torsion_histogram == {4: 9, 2: 60, 1: 100}
+    for t in leaves:
+        assert t.torsion_order == snf_torsion(two_cones, t), t
+
+
 # ---- torsion-free search -------------------------------------------------------
 
 def test_find_torsion_free_tree_bipyramid_star():
@@ -229,9 +340,7 @@ def first_tree_brute(comp, i, torsion_free):
 def test_first_trees_match_brute_force():
     rp2 = SimplicialComplex.from_facets(RP2_FACETS)
     rp2_tetra = SimplicialComplex.from_facets(RP2_FACETS + [(5, 6, 7, 8)])
-    # RP^2 with the loop 4-5-6 coned off: its first 2-tree has torsion 2,
-    # a later one none
-    rp2_cone = SimplicialComplex.from_facets(RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)])
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
     assert first_tree_brute(rp2_cone, 2, torsion_free=False).torsion_order == 2
     comps = [bipyramid(), rp2, rp2_tetra, rp2_cone, sphere(3),
              linial_meshulam(6, 0.5, 3), linial_meshulam(7, 0.5, 1)]
@@ -275,7 +384,7 @@ def test_first_tree_search_counts_against_budget():
 
 
 def test_first_tree_costs_no_more_than_the_census_walk():
-    rp2_cone = SimplicialComplex.from_facets(RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)])
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
     # the first tree ends at the last edge, and (2, 3) becomes zero before
     # it meets the third tree edge: the walk to the leaf costs exactly 8
     graph = SimplicialComplex.from_facets([(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)])
@@ -361,7 +470,6 @@ def test_group_order_equals_next_tau():
     # |K_i| = tau_{i+1} whenever H_{i-1} vanishes and a torsion-free
     # i-tree exists
     from simpcrit.critical import critical_group_direct
-    from simpcrit.generators import simplex_skeleton
 
     # top-dimensional extension counts pin the DFS column reduction
     for comp, top_extensions in ((bipyramid(), 80), (sphere(2), 9), (simplex_skeleton(5, 2), 593)):
