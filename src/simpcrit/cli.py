@@ -5,9 +5,19 @@ other potentially large values are rendered as decimal strings in JSON
 reports.  Reports are objects with "command", "input", "result" and
 "warnings" keys.
 
+Each leaf subparser binds its handler and report name with
+``set_defaults(run=..., name=...)`` and says whether its ``--dim`` may
+be the top dimension.  ``main`` loads the complex (``verify simplex``
+takes none), checks the count flags and ``--dim`` once, and calls
+``args.run(args, comp, warnings)``.  A handler returns only its result
+dict and appends any warnings; ``main`` builds the report and derives
+the exit code from the result alone: ``"verdict": "FAIL"`` exits 5,
+``"complete": false`` exits 4, anything else exits 0.
+
 Exit codes: 0 success / verification PASS; 2 input error; 3 hypothesis
-violation (e.g. a spanning tree with torsion); 4 enumeration budget
-exceeded (partial results); 5 verification FAIL.
+violation (e.g. a spanning tree with torsion, or ``verify sphere`` on a
+non-pseudomanifold); 4 enumeration budget exceeded (partial results);
+5 verification FAIL.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 
 from . import generators
 from .complexes import SimplicialComplex, make_face
@@ -90,11 +101,6 @@ def _load_complex(args):
     raise ValueError("no complex given: use --gen SPEC or --facets FILE")
 
 
-def _digest(comp):
-    text = "\n".join(" ".join(map(str, f)) for f in comp.facets())
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _parse_ints(text, what):
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
@@ -119,10 +125,8 @@ def _resolve_tree(comp, dim, spec):
     return tree
 
 
-def _check_dim(comp, dim, top_allowed):
-    hi = comp.dim if top_allowed else comp.dim - 1
-    if not 0 <= dim <= hi:
-        raise ValueError(f"--dim {dim} out of range [0, {hi}] for this complex")
+class _NotAPseudomanifoldError(Exception):
+    """The hypothesis of the sphere theorem fails."""
 
 
 # -- report plumbing --------------------------------------------------------
@@ -134,19 +138,6 @@ def _s(x):
 
 def _factors(fs):
     return [_s(f) for f in fs]
-
-
-def _report(command, source, comp, result, warnings=()):
-    rep = {
-        "command": command,
-        "input": {"source": source},
-        "result": result,
-        "warnings": list(warnings),
-    }
-    if comp is not None:
-        rep["input"]["digest"] = _digest(comp)
-        rep["input"]["f_vector"] = list(comp.f_vector())
-    return rep
 
 
 def _emit(report, as_json):
@@ -186,12 +177,12 @@ def _flat(v):
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_info(args, comp, source):
+def _cmd_info(args, comp, warnings):
     hom = {}
     for i in range(-1, comp.dim + 1):
         g = comp.reduced_homology(i)
         hom[str(i)] = {"betti": g.betti, "torsion": _factors(g.torsion)}
-    result = {
+    return {
         "dimension": comp.dim,
         "f_vector": list(comp.f_vector()),
         "facets": [list(f) for f in comp.facets()],
@@ -199,12 +190,9 @@ def _cmd_info(args, comp, source):
         "apc": comp.is_apc(),
         "homology": hom,
     }
-    return _report("info", source, comp, result), EXIT_OK
 
 
-def _cmd_critical_group(args, comp, source):
-    _check_dim(comp, args.dim, top_allowed=False)
-    warnings = []
+def _cmd_critical_group(args, comp, warnings):
     why = "no torsion-free tree found"
     if args.tree == "auto":
         try:
@@ -222,7 +210,7 @@ def _cmd_critical_group(args, comp, source):
         route = "direct"
         tree_out = None
         warnings.append(f"{why}; used the direct route")
-    result = {
+    return {
         "dimension": args.dim,
         "invariant_factors": _factors(group.torsion),
         "free_rank": group.betti,
@@ -230,23 +218,17 @@ def _cmd_critical_group(args, comp, source):
         "route": route,
         "tree": tree_out,
     }
-    return _report("critical-group", source, comp, result, warnings), EXIT_OK
 
 
-def _cmd_trees(args, comp, source):
-    _check_dim(comp, args.dim, top_allowed=True)
+def _cmd_trees(args, comp, warnings):
     streamed = []
-
-    def keep(tree):
-        streamed.append(tree)
-        return False
-
     census = enumerate_trees(
         comp,
         args.dim,
         budget=args.budget,
-        on_tree=keep if args.stream else None,
+        on_tree=streamed.append if args.stream else None,
     )
+    warnings.extend(census.warnings)
     result = {
         "dimension": args.dim,
         "count": census.count,
@@ -260,16 +242,15 @@ def _cmd_trees(args, comp, source):
             {"faces": [list(f) for f in t.top_faces], "torsion": _s(t.torsion_order)}
             for t in streamed
         ]
-    code = EXIT_OK if census.complete else EXIT_BUDGET
-    return _report("trees", source, comp, result, census.warnings), code
+    return result
 
 
-def _cmd_verify_smtt(args, comp, source):
-    _check_dim(comp, args.dim, top_allowed=True)
+def _cmd_verify_smtt(args, comp, warnings):
     if args.dim < 1:
         raise ValueError("--dim must be at least 1 for the matrix-tree identities")
     rep = verify_smtt(comp, args.dim, budget=args.budget)
-    result = {
+    warnings.extend(rep.warnings)
+    return {
         "dimension": args.dim,
         "pi": _s(rep.pi),
         "tau": _s(rep.tau),
@@ -284,38 +265,29 @@ def _cmd_verify_smtt(args, comp, source):
         },
         "verdict": "PASS" if rep.ok else "FAIL",
     }
-    return (
-        _report("verify smtt", source, comp, result, rep.warnings),
-        EXIT_OK if rep.ok else EXIT_VERIFY,
-    )
 
 
-def _cmd_verify_main_thm(args, comp, source):
-    _check_dim(comp, args.dim, top_allowed=False)
+def _cmd_verify_main_thm(args, comp, warnings):
     direct = critical_group_direct(comp, args.dim)
-    wanted = max(1, args.trees)
     found = []
 
     def grab(tree):
         if tree.torsion_order == 1:
             found.append(tree)
-        return len(found) >= wanted
+        return len(found) >= args.trees
 
     census = enumerate_trees(comp, args.dim, budget=args.budget, on_tree=grab)
-    partial = len(found) < wanted and not census.complete
+    partial = len(found) < args.trees and not census.complete
     if not found and not partial:
         raise TreeHasTorsionError("no torsion-free spanning tree exists")
     rows = []
-    all_match = True
     for tree in found:
         g = critical_group_reduced(comp, args.dim, tree)
-        match = g == direct
-        all_match = all_match and match
         rows.append(
             {
                 "faces": [list(f) for f in tree.top_faces],
                 "invariant_factors": _factors(g.torsion),
-                "match": match,
+                "match": g == direct,
             }
         )
     result = {
@@ -327,49 +299,39 @@ def _cmd_verify_main_thm(args, comp, source):
     if partial:
         # the budget ran out before the requested trees were found: no verdict
         result["complete"] = False
-        return _report("verify main-thm", source, comp, result, census.warnings), EXIT_BUDGET
-    result["verdict"] = "PASS" if all_match else "FAIL"
-    return (
-        _report("verify main-thm", source, comp, result),
-        EXIT_OK if all_match else EXIT_VERIFY,
-    )
+        warnings.extend(census.warnings)
+    else:
+        result["verdict"] = "PASS" if all(row["match"] for row in rows) else "FAIL"
+    return result
 
 
-def _cmd_verify_sphere(args, comp, source):
+def _cmd_verify_sphere(args, comp, warnings):
     d = comp.dim
     if d < 1:
         raise ValueError("sphere check needs dimension at least 1")
     n_facets = len(comp.faces(d))
-    # pseudomanifold sanity: every ridge in exactly two facets
-    ridge_deg = {}
-    for f in comp.faces(d):
-        for j in range(len(f)):
-            r = f[:j] + f[j + 1:]
-            ridge_deg[r] = ridge_deg.get(r, 0) + 1
-    pseudo = all(v == 2 for v in ridge_deg.values())
+    # the theorem's hypothesis: every ridge in exactly two facets
+    ridges = Counter(f[:j] + f[j + 1:] for f in comp.faces(d) for j in range(len(f)))
+    if any(n != 2 for n in ridges.values()):
+        raise _NotAPseudomanifoldError(
+            "complex is not a pseudomanifold; the sphere theorem does not apply"
+        )
     group = critical_group_direct(comp, d - 1)
     cyclic = group.betti == 0 and len(group.torsion) <= 1
-    ok = cyclic and group.order == n_facets
-    result = {
+    return {
         "dimension": d,
         "facets": n_facets,
-        "pseudomanifold": pseudo,
+        "pseudomanifold": True,
         "group": _factors(group.torsion),
         "group_order": _s(group.order),
         "cyclic": cyclic,
-        "verdict": "PASS" if ok else "FAIL",
+        "verdict": "PASS" if cyclic and group.order == n_facets else "FAIL",
     }
-    warnings = []
-    if not pseudo:
-        warnings.append("complex is not a pseudomanifold; the sphere theorem does not apply")
-    return _report("verify sphere", source, comp, result, warnings), (
-        EXIT_OK if ok else EXIT_VERIFY
-    )
 
 
-def _cmd_verify_simplex(args, comp, source):
+def _cmd_verify_simplex(args, comp, warnings):
     rep = verify_simplex_structure(args.n, args.k)
-    result = {
+    return {
         "n": rep.n,
         "k": rep.k,
         "coker_A": _factors(rep.coker_a),
@@ -388,141 +350,125 @@ def _cmd_verify_simplex(args, comp, source):
         "aat_matches": rep.aat_matches,
         "verdict": "PASS" if rep.passed else "FAIL",
     }
-    return (
-        _report("verify simplex", f"gen simplex-skeleton {args.n} {args.n - 1}", None, result),
-        EXIT_OK if rep.passed else EXIT_VERIFY,
-    )
 
 
-def _cmd_verify_alt_product(args, comp, source):
-    _check_dim(comp, args.dim, top_allowed=False)
+def _cmd_verify_alt_product(args, comp, warnings):
     value = alternating_order(comp, args.dim)
     group = critical_group_direct(comp, args.dim)
     ok = value.denominator == 1 and group.betti == 0 and value == group.order
-    result = {
+    return {
         "dimension": args.dim,
         "alternating_product": str(value),
         "group_order": _s(group.order),
         "verdict": "PASS" if ok else "FAIL",
     }
-    return _report("verify alt-product", source, comp, result), (
-        EXIT_OK if ok else EXIT_VERIFY
-    )
 
 
-def _cmd_flow(args, comp, source):
-    _check_dim(comp, args.dim, top_allowed=True)
-    i = args.dim
-    if args.flow_cmd == "fire":
-        values = _parse_ints(args.config, "--config")
-        face = make_face(_parse_ints(args.face, "--face"))
-        out = fire(comp, i, values, face)
-        result = {
-            "dimension": i,
-            "configuration": list(values),
-            "fired": list(face),
-            "result": list(out),
-            "conservative": is_conservative(comp, i, out),
-        }
-        return _report("flow fire", source, comp, result), EXIT_OK
-    if args.flow_cmd == "extend":
-        tree = _resolve_tree(comp, i, args.tree)
-        theta = _parse_ints(args.theta, "--theta")
-        out = extend_to_conservative(comp, i, tree, theta)
-        result = {
-            "dimension": i,
-            "tree": [list(f) for f in tree.top_faces],
-            "theta": theta,
-            "configuration": list(out),
-            "conservative": is_conservative(comp, i, out),
-        }
-        return _report("flow extend", source, comp, result), EXIT_OK
-    if args.flow_cmd == "equiv":
-        a = _parse_ints(args.config, "--config")
-        b = _parse_ints(args.config2, "--config2")
-        result = {"dimension": i, "equivalent": equivalent(comp, i, a, b)}
-        return _report("flow equiv", source, comp, result), EXIT_OK
-    if args.flow_cmd == "canonical":
-        tree = _resolve_tree(comp, i, args.tree)
-        values = _parse_ints(args.config, "--config")
-        g = to_group_element(comp, i, tree, values)
-        result = {
-            "dimension": i,
-            "tree": [list(f) for f in tree.top_faces],
-            "moduli": _factors(g.moduli),
-            "residues": _factors(g.residues),
-        }
-        return _report("flow canonical", source, comp, result), EXIT_OK
-    raise ValueError(f"unknown flow subcommand {args.flow_cmd!r}")
+def _cmd_flow_fire(args, comp, warnings):
+    values = _parse_ints(args.config, "--config")
+    face = make_face(_parse_ints(args.face, "--face"))
+    out = fire(comp, args.dim, values, face)
+    return {
+        "dimension": args.dim,
+        "configuration": list(values),
+        "fired": list(face),
+        "result": list(out),
+        "conservative": is_conservative(comp, args.dim, out),
+    }
+
+
+def _cmd_flow_extend(args, comp, warnings):
+    tree = _resolve_tree(comp, args.dim, args.tree)
+    theta = _parse_ints(args.theta, "--theta")
+    out = extend_to_conservative(comp, args.dim, tree, theta)
+    return {
+        "dimension": args.dim,
+        "tree": [list(f) for f in tree.top_faces],
+        "theta": theta,
+        "configuration": list(out),
+        "conservative": is_conservative(comp, args.dim, out),
+    }
+
+
+def _cmd_flow_equiv(args, comp, warnings):
+    a = _parse_ints(args.config, "--config")
+    b = _parse_ints(args.config2, "--config2")
+    return {"dimension": args.dim, "equivalent": equivalent(comp, args.dim, a, b)}
+
+
+def _cmd_flow_canonical(args, comp, warnings):
+    tree = _resolve_tree(comp, args.dim, args.tree)
+    values = _parse_ints(args.config, "--config")
+    g = to_group_element(comp, args.dim, tree, values)
+    return {
+        "dimension": args.dim,
+        "tree": [list(f) for f in tree.top_faces],
+        "moduli": _factors(g.moduli),
+        "residues": _factors(g.residues),
+    }
 
 
 def _chip_state(args, comp):
     return ChipState(comp, args.bank, tuple(_parse_ints(args.chips, "--chips")))
 
 
-def _cmd_chip(args, comp, source):
-    if args.chip_cmd == "stabilize":
-        state = _chip_state(args, comp)
-        final, fired = stabilize(state)
-        result = {
-            "bank": args.bank,
-            "vertices": list(final.non_bank),
-            "stable": list(final.chips),
-            "firings": {str(v): n for v, n in fired.items()},
-        }
-        return _report("chip stabilize", source, comp, result), EXIT_OK
-    if args.chip_cmd == "recurrent":
-        result = {"bank": args.bank, "recurrent": is_recurrent(_chip_state(args, comp))}
-        return _report("chip recurrent", source, comp, result), EXIT_OK
-    if args.chip_cmd == "representative":
-        state = _chip_state(args, comp)
-        rep = critical_representative(state)
-        result = {
-            "bank": args.bank,
-            "vertices": list(rep.non_bank),
-            "critical": list(rep.chips),
-        }
-        return _report("chip representative", source, comp, result), EXIT_OK
-    if args.chip_cmd == "group-law":
-        rng = random.Random(args.seed)
-        if args.chips and args.chips2:
-            pairs = [(
-                _parse_ints(args.chips, "--chips"),
-                _parse_ints(args.chips2, "--chips2"),
-            )]
-        elif args.chips or args.chips2:
-            raise ValueError("group-law needs both --chips and --chips2, or neither")
-        else:
-            k = len(comp.vertices()) - 1
-            bound = 2 * max(len(ws) for ws in comp.neighbors().values())
-            pairs = [
-                (
-                    [rng.randrange(bound + 1) for _ in range(k)],
-                    [rng.randrange(bound + 1) for _ in range(k)],
-                )
-                for _ in range(args.samples)
-            ]
-        holds = True
-        checked = []
-        for a, b in pairs:
-            sa = ChipState(comp, args.bank, tuple(a))
-            sb = ChipState(comp, args.bank, tuple(b))
-            lhs = critical_representative(critical_representative(sa) + critical_representative(sb))
-            rhs = critical_representative(sa + sb)
-            ok = lhs.chips == rhs.chips
-            holds = holds and ok
-            checked.append({"a": list(a), "b": list(b), "match": ok})
-        result = {
-            "bank": args.bank,
-            "pairs_checked": len(checked),
-            "law_holds": holds,
-            "pairs": checked if len(checked) <= 10 else checked[:10],
-            "verdict": "PASS" if holds else "FAIL",
-        }
-        return _report("chip group-law", source, comp, result), (
-            EXIT_OK if holds else EXIT_VERIFY
-        )
-    raise ValueError(f"unknown chip subcommand {args.chip_cmd!r}")
+def _cmd_chip_stabilize(args, comp, warnings):
+    final, fired = stabilize(_chip_state(args, comp))
+    return {
+        "bank": args.bank,
+        "vertices": list(final.non_bank),
+        "stable": list(final.chips),
+        "firings": {str(v): n for v, n in fired.items()},
+    }
+
+
+def _cmd_chip_recurrent(args, comp, warnings):
+    return {"bank": args.bank, "recurrent": is_recurrent(_chip_state(args, comp))}
+
+
+def _cmd_chip_representative(args, comp, warnings):
+    rep = critical_representative(_chip_state(args, comp))
+    return {
+        "bank": args.bank,
+        "vertices": list(rep.non_bank),
+        "critical": list(rep.chips),
+    }
+
+
+def _cmd_chip_group_law(args, comp, warnings):
+    rng = random.Random(args.seed)
+    if args.chips and args.chips2:
+        pairs = [(
+            _parse_ints(args.chips, "--chips"),
+            _parse_ints(args.chips2, "--chips2"),
+        )]
+    elif args.chips or args.chips2:
+        raise ValueError("group-law needs both --chips and --chips2, or neither")
+    else:
+        k = len(comp.vertices()) - 1
+        bound = 2 * max(len(ws) for ws in comp.neighbors().values())
+        pairs = [
+            (
+                [rng.randrange(bound + 1) for _ in range(k)],
+                [rng.randrange(bound + 1) for _ in range(k)],
+            )
+            for _ in range(args.samples)
+        ]
+    checked = []
+    for a, b in pairs:
+        sa = ChipState(comp, args.bank, tuple(a))
+        sb = ChipState(comp, args.bank, tuple(b))
+        lhs = critical_representative(critical_representative(sa) + critical_representative(sb))
+        rhs = critical_representative(sa + sb)
+        checked.append({"a": list(a), "b": list(b), "match": lhs.chips == rhs.chips})
+    holds = all(row["match"] for row in checked)
+    return {
+        "bank": args.bank,
+        "pairs_checked": len(checked),
+        "law_holds": holds,
+        "pairs": checked if len(checked) <= 10 else checked[:10],
+        "verdict": "PASS" if holds else "FAIL",
+    }
 
 
 # -- parser -----------------------------------------------------------------
@@ -543,6 +489,17 @@ def build_parser():
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized subcommands")
 
+    def leaf(subs, command, run, *, top_dim=None, **kwargs):
+        """The subparser of ``command`` bound to its handler; a top_dim of
+        True or False adds a required --dim that may or may not be the
+        complex's top dimension."""
+        p = subs.add_parser(command.split()[-1], parents=[common], **kwargs)
+        p.set_defaults(run=run, name=command)
+        if top_dim is not None:
+            p.add_argument("--dim", type=int, required=True)
+            p.set_defaults(top_dim=top_dim)
+        return p
+
     p = argparse.ArgumentParser(
         prog="simpcrit",
         parents=[common],
@@ -551,64 +508,58 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", parents=[common], help="f-vector, homology, purity, APC")
+    leaf(sub, "info", _cmd_info, help="f-vector, homology, purity, APC")
 
-    cg = sub.add_parser("critical-group", parents=[common], help="invariant factors of K_i")
-    cg.add_argument("--dim", type=int, required=True)
+    cg = leaf(sub, "critical-group", _cmd_critical_group, top_dim=False,
+              help="invariant factors of K_i")
     cg.add_argument("--tree", default="auto", help="'auto' or a file of tree faces")
 
-    tr = sub.add_parser("trees", parents=[common], help="enumerate spanning trees")
-    tr.add_argument("--dim", type=int, required=True)
+    tr = leaf(sub, "trees", _cmd_trees, top_dim=True, help="enumerate spanning trees")
     tr.add_argument("--census", action="store_true", help="census only (default)")
     tr.add_argument("--stream", action="store_true", help="list every tree")
     tr.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     ver = sub.add_parser("verify", help="verify an identity, exit 5 on FAIL")
     vsub = ver.add_subparsers(dest="verify_cmd", required=True)
-    vs = vsub.add_parser("smtt", parents=[common], help="both matrix-tree identities")
-    vs.add_argument("--dim", type=int, required=True)
+    vs = leaf(vsub, "verify smtt", _cmd_verify_smtt, top_dim=True,
+              help="both matrix-tree identities")
     vs.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    vm = vsub.add_parser("main-thm", parents=[common],
-                         help="reduced route matches the direct definition")
-    vm.add_argument("--dim", type=int, required=True)
+    vm = leaf(vsub, "verify main-thm", _cmd_verify_main_thm, top_dim=False,
+              help="reduced route matches the direct definition")
     vm.add_argument("--trees", type=int, default=3, help="torsion-free trees to try")
     vm.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    vsub.add_parser("sphere", parents=[common],
-                    help="top critical group is cyclic of facet order")
-    vx = vsub.add_parser("simplex", parents=[common],
-                         help="stacked-matrix identities on a simplex")
+    leaf(vsub, "verify sphere", _cmd_verify_sphere,
+         help="top critical group is cyclic of facet order")
+    vx = leaf(vsub, "verify simplex", _cmd_verify_simplex,
+              help="stacked-matrix identities on a simplex")
     vx.add_argument("--n", type=int, required=True)
     vx.add_argument("--k", type=int, required=True)
-    va = vsub.add_parser("alt-product", parents=[common],
-                         help="alternating eigenvalue product equals |K_i|")
-    va.add_argument("--dim", type=int, required=True)
+    leaf(vsub, "verify alt-product", _cmd_verify_alt_product, top_dim=False,
+         help="alternating eigenvalue product equals |K_i|")
 
     fl = sub.add_parser("flow", help="face-flow operations")
     fsub = fl.add_subparsers(dest="flow_cmd", required=True)
-    ff = fsub.add_parser("fire", parents=[common])
-    ff.add_argument("--dim", type=int, required=True)
+    ff = leaf(fsub, "flow fire", _cmd_flow_fire, top_dim=True)
     ff.add_argument("--config", required=True)
     ff.add_argument("--face", required=True)
-    fe = fsub.add_parser("extend", parents=[common])
-    fe.add_argument("--dim", type=int, required=True)
+    fe = leaf(fsub, "flow extend", _cmd_flow_extend, top_dim=True)
     fe.add_argument("--theta", required=True)
     fe.add_argument("--tree", default="auto")
-    fq = fsub.add_parser("equiv", parents=[common])
-    fq.add_argument("--dim", type=int, required=True)
+    fq = leaf(fsub, "flow equiv", _cmd_flow_equiv, top_dim=True)
     fq.add_argument("--config", required=True)
     fq.add_argument("--config2", required=True)
-    fc = fsub.add_parser("canonical", parents=[common])
-    fc.add_argument("--dim", type=int, required=True)
+    fc = leaf(fsub, "flow canonical", _cmd_flow_canonical, top_dim=True)
     fc.add_argument("--config", required=True)
     fc.add_argument("--tree", default="auto")
 
     ch = sub.add_parser("chip", help="graph chip-firing game")
     csub = ch.add_subparsers(dest="chip_cmd", required=True)
-    for name in ("stabilize", "recurrent", "representative"):
-        c = csub.add_parser(name, parents=[common])
+    for name, run in (("stabilize", _cmd_chip_stabilize), ("recurrent", _cmd_chip_recurrent),
+                      ("representative", _cmd_chip_representative)):
+        c = leaf(csub, f"chip {name}", run)
         c.add_argument("--bank", type=int, required=True)
         c.add_argument("--chips", required=True)
-    cl = csub.add_parser("group-law", parents=[common])
+    cl = leaf(csub, "chip group-law", _cmd_chip_group_law)
     cl.add_argument("--bank", type=int, required=True)
     cl.add_argument("--chips")
     cl.add_argument("--chips2")
@@ -617,40 +568,27 @@ def build_parser():
     return p
 
 
-_DISPATCH = {
-    "info": _cmd_info,
-    "critical-group": _cmd_critical_group,
-    "trees": _cmd_trees,
-    "flow": _cmd_flow,
-    "chip": _cmd_chip,
-}
-
-_VERIFY_DISPATCH = {
-    "smtt": _cmd_verify_smtt,
-    "main-thm": _cmd_verify_main_thm,
-    "sphere": _cmd_verify_sphere,
-    "simplex": _cmd_verify_simplex,
-    "alt-product": _cmd_verify_alt_product,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for attr, default in (("gen", None), ("facets", None), ("json", False), ("seed", 0)):
         if not hasattr(args, attr):
             setattr(args, attr, default)
+    warnings = []
     try:
-        if args.command == "verify" and args.verify_cmd == "simplex":
-            comp, source = None, None
+        for flag, low in (("budget", 0), ("trees", 1), ("samples", 1)):
+            if getattr(args, flag, low) < low:
+                raise ValueError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
+        if args.run is _cmd_verify_simplex:
+            # the one command that builds its own complex
+            comp, source = None, f"gen simplex-skeleton {args.n} {args.n - 1}"
         else:
             comp, source = _load_complex(args)
-        if args.command == "verify":
-            handler = _VERIFY_DISPATCH[args.verify_cmd]
-        else:
-            handler = _DISPATCH[args.command]
-        report, code = handler(args, comp, source)
-    except (NotATreeError, TreeHasTorsionError, NotAcyclicError) as exc:
+        if "dim" in args:
+            hi = comp.dim if args.top_dim else comp.dim - 1
+            if not 0 <= args.dim <= hi:
+                raise ValueError(f"--dim {args.dim} out of range [0, {hi}] for this complex")
+        result = args.run(args, comp, warnings)
+    except (NotATreeError, TreeHasTorsionError, NotAcyclicError, _NotAPseudomanifoldError) as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except BudgetExceededError as exc:
@@ -659,8 +597,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report = {"command": args.name, "input": {"source": source}, "result": result,
+              "warnings": warnings}
+    if comp is not None:
+        text = "\n".join(" ".join(map(str, f)) for f in comp.facets())
+        report["input"]["digest"] = hashlib.sha256(text.encode()).hexdigest()
+        report["input"]["f_vector"] = list(comp.f_vector())
     _emit(report, args.json)
-    return code
+    if result.get("verdict") == "FAIL":
+        return EXIT_VERIFY
+    if result.get("complete") is False:
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def run():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .intlinalg import AbelianGroup, IntMatrix, cokernel, rank
+from .intlinalg import AbelianGroup, IntMatrix, invariant_factors
 
 Face = tuple
 
@@ -140,6 +140,14 @@ class SimplicialComplex:
 
         return self._memoized(("boundary", i), build)
 
+    def _boundary_factors(self, i) -> tuple:
+        """Invariant factors of boundary_i, one Smith form per complex:
+        there are rank(boundary_i) of them, and those above 1 are the
+        torsion of its cokernel."""
+        return self._memoized(
+            ("boundary_factors", i), lambda: invariant_factors(self.boundary_matrix(i))
+        )
+
     # -- homology ------------------------------------------------------
 
     def reduced_homology(self, i) -> AbelianGroup:
@@ -149,11 +157,9 @@ class SimplicialComplex:
             raise ValueError(f"dimension {i} out of range [-1, {self.dim}]")
 
         def build():
-            if i < self.dim:
-                g = cokernel(self.boundary_matrix(i + 1))
-            else:
-                g = AbelianGroup(len(self._faces[i]), ())
-            return AbelianGroup(g.betti - rank(self.boundary_matrix(i)), g.torsion)
+            up = self._boundary_factors(i + 1) if i < self.dim else ()
+            betti = len(self._faces[i]) - len(up) - len(self._boundary_factors(i))
+            return AbelianGroup(betti, tuple(f for f in up if f > 1))
 
         return self._memoized(("homology", i), build)
 

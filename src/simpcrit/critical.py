@@ -33,7 +33,6 @@ from .intlinalg import (
     _pdet_on_basis,
     cokernel,
     invariant_factors,
-    rank,
 )
 from .trees import as_spanning_tree, require_torsion_free
 
@@ -98,7 +97,7 @@ def critical_group_direct(comp: SimplicialComplex, i) -> AbelianGroup:
     if bd * lap != 0:
         raise AssertionError("Laplacian image escaped the boundary kernel")
     g = cokernel(lap)
-    return AbelianGroup(g.betti - rank(bd), g.torsion)
+    return AbelianGroup(g.betti - len(comp._boundary_factors(i)), g.torsion)
 
 
 # -- skeleta of simplices -------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import column_basis, determinant, invariant_factors, rank
+from .intlinalg import column_basis, determinant, invariant_factors
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -79,7 +79,7 @@ def required_tree_size(comp: SimplicialComplex, i) -> int:
     On the i-skeleton f_i - beta_i = rank d_i and beta_{i-1} =
     f_{i-1} - rank d_{i-1} - rank d_i, so this is f_{i-1} - rank d_{i-1}.
     """
-    return len(comp.faces(i - 1)) - rank(comp.boundary_matrix(i - 1))
+    return len(comp.faces(i - 1)) - len(comp._boundary_factors(i - 1))
 
 
 def _check_dim(comp, i):

@@ -77,6 +77,8 @@ def test_no_source_is_an_input_error(capsys):
 
 
 C5 = ("--gen", "cycle 5")
+# RP^2 plus a tetrahedron: every 2-tree contains RP^2, so none is torsion-free
+RP2_TETRA_FACETS = RP2_FACETS + [(5, 6, 7, 8)]
 
 # (argv, the one stderr line); run in a directory holding bad.txt
 INPUT_ERRORS = [
@@ -110,6 +112,16 @@ INPUT_ERRORS = [
      "chip-firing needs a complex with edges"),
     (("--gen", "simplex-skeleton 3 0", "chip", "group-law", "--bank", "1"),
      "chip-firing needs a complex with edges"),
+    (C5 + ("chip", "group-law", "--bank", "5", "--samples", "0"),
+     "--samples must be at least 1, got 0"),
+    (C5 + ("chip", "group-law", "--bank", "5", "--samples", "-2"),
+     "--samples must be at least 1, got -2"),
+    (("--gen", "bipyramid", "verify", "main-thm", "--dim", "1", "--trees", "0"),
+     "--trees must be at least 1, got 0"),
+    (("--gen", "bipyramid", "trees", "--dim", "2", "--budget", "-1"),
+     "--budget must be at least 0, got -1"),
+    (("--gen", "bipyramid", "verify", "smtt", "--dim", "2", "--budget", "-1"),
+     "--budget must be at least 0, got -1"),
 ]
 
 
@@ -150,11 +162,9 @@ def test_critical_group_bad_tree_exits_3(tmp_path, capsys):
 
 
 def test_critical_group_budget_fallback_names_the_budget(tmp_path, capsys, monkeypatch):
-    # RP^2 plus a tetrahedron: every 2-tree contains RP^2, so every tree
-    # has torsion and the search for a torsion-free one walks them all
+    # every tree has torsion, so the search for a torsion-free one walks them all
     path = tmp_path / "rp2_tetra.txt"
-    path.write_text("1 2 3\n1 2 4\n1 3 5\n1 4 6\n1 5 6\n"
-                    "2 3 6\n2 4 5\n2 5 6\n3 4 5\n3 4 6\n5 6 7 8\n")
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in RP2_TETRA_FACETS))
     base = ("--facets", str(path), "critical-group", "--dim", "2")
     code, rep, _ = run_json(capsys, *base)
     assert code == 0 and rep["result"]["route"] == "direct"
@@ -259,13 +269,12 @@ def test_verify_main_thm_budget_exits_4(capsys):
 def test_verify_sphere_pass_and_fail(capsys):
     code, rep, _ = run_json(capsys, "--gen", "sphere 2", "verify", "sphere")
     assert code == 0 and rep["result"]["verdict"] == "PASS"
-    # the bipyramid is not a pseudomanifold, so the sphere law fails there
-    code, rep, _ = run_json(capsys, "--gen", "bipyramid", "verify", "sphere")
-    assert code == 5
-    assert rep["result"]["verdict"] == "FAIL"
-    assert rep["result"]["pseudomanifold"] is False
-    assert rep["result"]["group_order"] == "15"
-    assert rep["result"]["facets"] == 7
+    # the bipyramid is not a pseudomanifold: outside the theorem's
+    # hypothesis there is no verdict
+    code, out, err = run_cli(capsys, "--gen", "bipyramid", "verify", "sphere", "--json")
+    assert (code, out) == (3, "")
+    assert err == ("hypothesis violation: complex is not a pseudomanifold; "
+                   "the sphere theorem does not apply\n")
 
 
 def test_verify_simplex(capsys):
@@ -387,6 +396,7 @@ RP2 = ("--facets", "rp2.txt")  # K_1 = Z/2 + Z/2, H_1 = Z/2
 K6 = ("--gen", "complete 6")
 LM10 = ("--facets", "lm10.txt")  # K_1 = Z + Z/2 + Z/2 + Z/688015002040
 LM14 = ("--facets", "lm14.txt")
+RP2_TETRA = ("--facets", "rp2_tetra.txt")
 
 
 def lm_facets(n, p, seed):
@@ -397,49 +407,59 @@ def lm_facets(n, p, seed):
     return list(combinations(range(1, n + 1), 2)) + tris
 
 
-# first 16 hex digits of the SHA-256 of each command's --json stdout
+# (argv, exit code, first 16 hex digits of the SHA-256 of the --json stdout)
 PINNED_REPORTS = [
-    (BIPYRAMID + ("info",), "b8bca8a529253d03"),
-    (BIPYRAMID + ("critical-group", "--dim", "1"), "57b1534d773b5453"),
-    (BIPYRAMID + ("verify", "main-thm", "--dim", "1"), "6902a5b3ca46571f"),
-    (BIPYRAMID + ("verify", "alt-product", "--dim", "1"), "cd95ef6b7f669fb5"),
+    (BIPYRAMID + ("info",), 0, "b8bca8a529253d03"),
+    (BIPYRAMID + ("critical-group", "--dim", "1"), 0, "57b1534d773b5453"),
+    (BIPYRAMID + ("verify", "main-thm", "--dim", "1"), 0, "6902a5b3ca46571f"),
+    (BIPYRAMID + ("verify", "alt-product", "--dim", "1"), 0, "cd95ef6b7f669fb5"),
     (BIPYRAMID + ("flow", "fire", "--dim", "1", "--config", "0,0,0,0,0,0,0,0,0",
-                  "--face", "2 3"), "02b342a53e7612d3"),
+                  "--face", "2 3"), 0, "02b342a53e7612d3"),
     (BIPYRAMID + ("flow", "canonical", "--dim", "1", "--config", "1,2,3,0,0,0,0,0,5"),
-     "8d93e4024a1938e4"),
+     0, "8d93e4024a1938e4"),
     (BIPYRAMID + ("flow", "equiv", "--dim", "1", "--config", "1,0,0,0,0,0,0,0,0",
-                  "--config2", "0,1,0,0,0,0,0,0,0"), "04414c2eada459dc"),
-    (("--gen", "sphere 3", "verify", "sphere"), "6a54ef4902e83eb4"),
-    (("--gen", "complete 6", "critical-group", "--dim", "0"), "56328eaa5bc87e98"),
-    (("verify", "simplex", "--n", "5", "--k", "2"), "d95fd095bccdcfef"),
-    (RP2 + ("info",), "43a14333b96829ae"),
-    (RP2 + ("critical-group", "--dim", "1"), "e25985b537ab1824"),
-    (RP2 + ("verify", "main-thm", "--dim", "1"), "94cb3ca2f674985e"),
-    (LM10 + ("info",), "4b52cb3f3f514cfa"),
-    (LM10 + ("critical-group", "--dim", "1"), "01f280b1e379f219"),
-    (LM10 + ("verify", "main-thm", "--dim", "1"), "b6da5b9a028a6777"),
-    (LM14 + ("critical-group", "--dim", "1"), "3d63e5cabda6b720"),
-    (LM14 + ("verify", "main-thm", "--dim", "1"), "1be04b5052a43fef"),
-    (K6 + ("chip", "stabilize", "--bank", "6", "--chips", "40,0,7,3,12"), "11def4158b7dd4b6"),
-    (K6 + ("chip", "representative", "--bank", "6", "--chips", "9,1,0,4,2"), "050e3af45cb38f2b"),
-    (K6 + ("chip", "group-law", "--bank", "6", "--samples", "5"), "e848b0db22297b7a"),
+                  "--config2", "0,1,0,0,0,0,0,0,0"), 0, "04414c2eada459dc"),
+    (("--gen", "sphere 3", "verify", "sphere"), 0, "6a54ef4902e83eb4"),
+    (("--gen", "complete 6", "critical-group", "--dim", "0"), 0, "56328eaa5bc87e98"),
+    (("verify", "simplex", "--n", "5", "--k", "2"), 0, "d95fd095bccdcfef"),
+    (RP2 + ("info",), 0, "43a14333b96829ae"),
+    (RP2 + ("critical-group", "--dim", "1"), 0, "e25985b537ab1824"),
+    (RP2 + ("verify", "main-thm", "--dim", "1"), 0, "94cb3ca2f674985e"),
+    (LM10 + ("info",), 0, "4b52cb3f3f514cfa"),
+    (LM10 + ("critical-group", "--dim", "1"), 0, "01f280b1e379f219"),
+    (LM10 + ("verify", "main-thm", "--dim", "1"), 0, "b6da5b9a028a6777"),
+    (LM14 + ("critical-group", "--dim", "1"), 0, "3d63e5cabda6b720"),
+    (LM14 + ("verify", "main-thm", "--dim", "1"), 0, "1be04b5052a43fef"),
+    (K6 + ("chip", "stabilize", "--bank", "6", "--chips", "40,0,7,3,12"), 0, "11def4158b7dd4b6"),
+    (K6 + ("chip", "representative", "--bank", "6", "--chips", "9,1,0,4,2"), 0, "050e3af45cb38f2b"),
+    (K6 + ("chip", "group-law", "--bank", "6", "--samples", "5"), 0, "e848b0db22297b7a"),
     (RP2 + ("flow", "canonical", "--dim", "1",
-            "--config", "1,0,2,0,0,-1,0,3,0,0,0,1,0,0,2"), "dcab9c39536a147e"),
+            "--config", "1,0,2,0,0,-1,0,3,0,0,0,1,0,0,2"), 0, "dcab9c39536a147e"),
     (RP2 + ("flow", "equiv", "--dim", "1", "--config", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0",
-            "--config2", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,1"), "1ec551c2fb0ed8e5"),
-    (RP2 + ("flow", "extend", "--dim", "1", "--theta", "1,0,-2,0,3,0,0,1,0,0"), "51eb0d16059c03a8"),
+            "--config2", "0,0,0,0,0,0,0,0,0,0,0,0,0,0,1"), 0, "1ec551c2fb0ed8e5"),
+    (RP2 + ("flow", "extend", "--dim", "1", "--theta", "1,0,-2,0,3,0,0,1,0,0"), 0, "51eb0d16059c03a8"),
+    (BIPYRAMID + ("trees", "--dim", "2", "--stream"), 0, "f3785c123cfb616b"),
+    (BIPYRAMID + ("trees", "--dim", "2", "--budget", "10"), 4, "54f4f64192af1d29"),
+    (BIPYRAMID + ("verify", "smtt", "--dim", "2"), 0, "0e0a2dbddaea0243"),
+    (("--gen", "simplex-skeleton 7 2", "verify", "main-thm", "--dim", "1", "--budget", "3"),
+     4, "96c7a4f2717d422f"),
+    # the direct-route fallback, with its warning
+    (RP2_TETRA + ("critical-group", "--dim", "2"), 0, "01d3cff521e0dddf"),
+    (K6 + ("chip", "recurrent", "--bank", "6", "--chips", "4,4,4,4,4"), 0, "fec435e7d9c95bbe"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_REPORTS, ids=[" ".join(a) for a, _ in PINNED_REPORTS])
-def test_reports_are_pinned_byte_for_byte(argv, digest, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv,exit_code,digest", PINNED_REPORTS, ids=[" ".join(a) for a, _, _ in PINNED_REPORTS])
+def test_reports_are_pinned_byte_for_byte(argv, exit_code, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, facets in (("rp2.txt", RP2_FACETS),
                          ("lm10.txt", lm_facets(10, 0.5, 1)),
-                         ("lm14.txt", lm_facets(14, 0.3, 1))):
+                         ("lm14.txt", lm_facets(14, 0.3, 1)),
+                         ("rp2_tetra.txt", RP2_TETRA_FACETS)):
         (tmp_path / name).write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
     code, out, _ = run_cli(capsys, *argv, "--json")
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 

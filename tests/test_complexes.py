@@ -157,6 +157,25 @@ def test_rp2_homology():
     assert str(h1) == "Z/2"
 
 
+def test_one_smith_form_per_boundary_map(monkeypatch):
+    # homology, the tree size and the direct critical group all read the
+    # invariant factors of each boundary map from one memo entry
+    from simpcrit import complexes, critical, trees
+
+    real, shapes = complexes.invariant_factors, []
+
+    def counted(a):
+        shapes.append((a.rows, a.cols))
+        return real(a)
+
+    monkeypatch.setattr(complexes, "invariant_factors", counted)
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    assert [rp2.reduced_homology(i).torsion for i in range(-1, 3)] == [(), (), (2,), ()]
+    assert [trees.required_tree_size(rp2, i) for i in range(3)] == [1, 5, 10]
+    assert critical.critical_group_direct(rp2, 1).torsion == (2, 2)
+    assert sorted(shapes) == [(0, 1), (1, 6), (6, 15), (15, 10)]
+
+
 @pytest.mark.parametrize(
     "comp",
     [bipyramid(), sphere(2), cycle(6), complete_graph(4),
