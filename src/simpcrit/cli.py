@@ -321,7 +321,6 @@ def _cmd_verify_sphere(args, comp, warnings):
     return {
         "dimension": d,
         "facets": n_facets,
-        "pseudomanifold": True,
         "group": _factors(group.torsion),
         "group_order": _s(group.order),
         "cyclic": cyclic,

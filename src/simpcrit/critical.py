@@ -68,7 +68,8 @@ def reduced_laplacian(comp: SimplicialComplex, i, tree) -> IntMatrix:
 
     Rows and columns follow the lexicographic order of the complement.
     ``tree`` may be a SpanningTree or an iterable of i-faces; it is
-    re-validated either way and NotATreeError is raised on failure.
+    checked once per complex (``as_spanning_tree``), and NotATreeError is
+    raised on failure.
     """
     theta = _theta_indices(comp, i, as_spanning_tree(comp, i, tree))
     return laplacian(comp, i).submatrix(theta, theta)

@@ -10,8 +10,9 @@ reduced Laplacian of a chosen torsion-free tree.
 Each of those cokernel maps costs one Smith form with transforms, paid
 lazily on first use and memoized on the complex: one per dimension for
 ``equivalent``, one per (dimension, tree) each for ``to_group_element``
-and ``extend_to_conservative``.  Every later query is a few
-matrix-vector products.
+and ``extend_to_conservative``.  A tree passed to either is checked
+once per complex too (``as_spanning_tree``), so every later query is a
+few matrix-vector products.
 
 In dimension > 0 no canonical notion of stability is known, so firing
 there is exposed as pure linear algebra only; the stable / recurrent /
@@ -92,8 +93,9 @@ def extend_to_conservative(comp: SimplicialComplex, i, tree, theta_values) -> tu
     faces outside the tree.
 
     The tree must be torsion-free; existence and uniqueness of the
-    extension are exactly what that hypothesis buys.  The Smith form of
-    the tree's boundary columns is computed once per (complex, i, tree).
+    extension are exactly what that hypothesis buys.  The tree is checked,
+    and the Smith form of its boundary columns computed, once per
+    (complex, i, tree).
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
@@ -175,9 +177,10 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
     ``values`` is either a full configuration or just the subvector on
     the faces outside the tree (which determines the class).  Firing any
     face never changes the result; two conservative configurations map
-    to the same element iff they are equivalent.  The Smith form of the
-    reduced Laplacian is computed once per (complex, i, tree); a residue
-    is then one dot product modulo its factor.
+    to the same element iff they are equivalent.  The tree is checked,
+    and the Smith form of its reduced Laplacian computed, once per
+    (complex, i, tree); a residue is then one dot product modulo its
+    factor.
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)

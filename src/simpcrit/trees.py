@@ -112,16 +112,22 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
 
 
 def as_spanning_tree(comp, i, tree) -> SpanningTree:
-    """Coerce a SpanningTree or an iterable of i-faces, re-validating it."""
-    cand = tree.top_faces if isinstance(tree, SpanningTree) else tree
-    if isinstance(tree, SpanningTree) and tree.dimension != i:
-        raise NotATreeError(f"tree has dimension {tree.dimension}, expected {i}")
+    """Coerce a SpanningTree or an iterable of i-faces, checked once per
+    (complex, i, face set).  The checked tree is returned, never the
+    caller's torsion order; a failed check raises NotATreeError and is
+    not remembered."""
+    if isinstance(tree, SpanningTree):
+        if tree.dimension != i:
+            raise NotATreeError(f"tree has dimension {tree.dimension}, expected {i}")
+        tree = tree.top_faces
     try:
-        checked = is_spanning_tree(comp, i, cand)
+        key = ("tree", i, tuple(sorted({make_face(f) for f in tree})))
+        checked = comp._memo.get(key) or is_spanning_tree(comp, i, key[2])
     except ValueError as exc:
         raise NotATreeError(str(exc)) from None
     if checked is None:
         raise NotATreeError(f"not a {i}-dimensional spanning tree of the complex")
+    comp._memo[key] = checked
     return checked
 
 
@@ -146,31 +152,25 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
     _check_dim(comp, i)
     if comp.reduced_homology(i - 1).betti:
         return None
-    return _first_tree(comp, i, budget, torsion_free=True)
-
-
-def _first_tree(comp, i, budget, torsion_free):
-    """The search's first leaf with torsion 1 (any torsion unless
-    ``torsion_free``).  The full search, counting extensions from zero
-    again, runs only if the first leaf, from ``_descend``, is rejected."""
     found = []
 
     def grab(t):
-        if t.torsion_order == 1 or not torsion_free:
+        if t.torsion_order == 1:
             found.append(t)
             return True
         return False
 
+    # the full search, counting extensions from zero again, runs only if
+    # the first leaf, from ``_descend``, has torsion
     census = _search(comp, i, budget, grab, descend=True)
     if census.count and not found:
         census = _search(comp, i, budget, grab)
     if found:
         return found[0]
     if not census.complete:
-        kind = "torsion-free " if torsion_free else ""
         raise BudgetExceededError(
             f"enumeration budget of {budget} extensions exceeded "
-            f"before a {kind}{i}-tree was found"
+            f"before a torsion-free {i}-tree was found"
         )
     return None
 
@@ -387,44 +387,34 @@ class SmttReport:
         return self.eigenvalue_identity_ok and self.determinant_identity_ok
 
 
-def verify_smtt(
-    comp: SimplicialComplex,
-    i,
-    *,
-    census=None,
-    census_prev=None,
-    budget=DEFAULT_BUDGET,
-) -> SmttReport:
+def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttReport:
     """Check pi_i = tau_i * tau_{i-1} / |H_{i-2}|^2 and the determinant
     form of tau_i, all in exact integer arithmetic (cross-multiplied).
 
     The theorem needs the i-skeleton to be acyclic in positive
     codimension, the check ``enumerate_trees`` makes: otherwise
     NotAcyclicError.  That makes H_{i-2} finite and gives (i-1)-trees.
-    Precomputed censuses may be passed in to avoid re-enumeration; one
-    of the wrong dimension raises ValueError.  A partial census makes
-    the identities undefined: BudgetExceededError.  The (i-1)-tree for
-    the determinant is the first torsion-free one, else the first of any
-    torsion; its search costs no more than the (i-1)-census, so it fits
-    in any budget the census fitted in.
+    A partial census makes the identities undefined: BudgetExceededError.
+    The (i-1)-tree for the determinant is the first torsion-free leaf of
+    the (i-1)-census, else its first leaf, so no second search runs; the
+    tree is then checked once, by ``reduced_laplacian``.
     """
     from .critical import pi_product, reduced_laplacian
 
     if not 1 <= i <= comp.dim:
         raise ValueError(f"dimension {i} out of range [1, {comp.dim}]")
-    for c, d in ((census, i), (census_prev, i - 1)):
-        if c is not None and c.dimension != d:
-            raise ValueError(f"expected a {d}-tree census, got one of dimension {c.dimension}")
     if not comp.is_apc(i):
         raise NotAcyclicError(
             f"the {i}-skeleton is not acyclic in positive codimension: "
             "the matrix-tree identities do not apply"
         )
-    if census is None:
-        census = enumerate_trees(comp, i, budget=budget)
-    if census_prev is None:
-        census_prev = enumerate_trees(comp, i - 1, budget=budget)
-    warnings = census.warnings + census_prev.warnings
+    first = {}  # torsion-free or not -> the first such leaf
+
+    def keep(t):
+        first.setdefault(t.torsion_order == 1, t)
+
+    census = enumerate_trees(comp, i, budget=budget)
+    census_prev = enumerate_trees(comp, i - 1, budget=budget, on_tree=keep)
     for c in (census, census_prev):
         if not c.complete:
             raise BudgetExceededError(f"{c.dimension}-tree " + "; ".join(c.warnings))
@@ -435,9 +425,7 @@ def verify_smtt(
     pi = pi_product(comp, i)
     eig_ok = pi * h_order * h_order == census.tau * census_prev.tau
 
-    tree = find_torsion_free_tree(comp, i - 1, budget=budget)
-    if tree is None:
-        tree = _first_tree(comp, i - 1, budget, torsion_free=False)
+    tree = first.get(True) or first[False]
     det = determinant(reduced_laplacian(comp, i - 1, tree))
     t2 = tree.torsion_order * tree.torsion_order
     det_ok = census.tau * t2 == h_order * h_order * det
@@ -453,5 +441,5 @@ def verify_smtt(
         det_reduced=det,
         eigenvalue_identity_ok=eig_ok,
         determinant_identity_ok=det_ok,
-        warnings=warnings,
+        warnings=census.warnings + census_prev.warnings,
     )

@@ -419,7 +419,7 @@ PINNED_REPORTS = [
      0, "8d93e4024a1938e4"),
     (BIPYRAMID + ("flow", "equiv", "--dim", "1", "--config", "1,0,0,0,0,0,0,0,0",
                   "--config2", "0,1,0,0,0,0,0,0,0"), 0, "04414c2eada459dc"),
-    (("--gen", "sphere 3", "verify", "sphere"), 0, "6a54ef4902e83eb4"),
+    (("--gen", "sphere 3", "verify", "sphere"), 0, "1ee769a658b69c5c"),
     (("--gen", "complete 6", "critical-group", "--dim", "0"), 0, "56328eaa5bc87e98"),
     (("verify", "simplex", "--n", "5", "--k", "2"), 0, "d95fd095bccdcfef"),
     (RP2 + ("info",), 0, "43a14333b96829ae"),
@@ -446,6 +446,15 @@ PINNED_REPORTS = [
     # the direct-route fallback, with its warning
     (RP2_TETRA + ("critical-group", "--dim", "2"), 0, "01d3cff521e0dddf"),
     (K6 + ("chip", "recurrent", "--bank", "6", "--chips", "4,4,4,4,4"), 0, "fec435e7d9c95bbe"),
+    # no torsion-free 2-tree: the determinant takes the first tree, of torsion 2
+    (RP2_TETRA + ("verify", "smtt", "--dim", "3"), 0, "13bac49d7df29bab"),
+    (RP2 + ("verify", "smtt", "--dim", "2"), 0, "9cb9cd8dbca3bde6"),
+    # a tree from a file
+    (BIPYRAMID + ("critical-group", "--dim", "1", "--tree", "tree.txt"), 0, "db1e302ae23fb70b"),
+    (BIPYRAMID + ("flow", "canonical", "--dim", "1", "--config", "1,2,3,0,0,0,0,0,5",
+                  "--tree", "tree.txt"), 0, "9d21c7d0ca81b716"),
+    (BIPYRAMID + ("flow", "extend", "--dim", "1", "--theta", "1,0,-2,0,3",
+                  "--tree", "tree.txt"), 0, "b0352a9833c97756"),
 ]
 
 
@@ -456,7 +465,8 @@ def test_reports_are_pinned_byte_for_byte(argv, exit_code, digest, tmp_path, mon
     for name, facets in (("rp2.txt", RP2_FACETS),
                          ("lm10.txt", lm_facets(10, 0.5, 1)),
                          ("lm14.txt", lm_facets(14, 0.3, 1)),
-                         ("rp2_tetra.txt", RP2_TETRA_FACETS)):
+                         ("rp2_tetra.txt", RP2_TETRA_FACETS),
+                         ("tree.txt", [(1, 2), (1, 3), (1, 4), (2, 5)])):
         (tmp_path / name).write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == exit_code

@@ -5,14 +5,17 @@ from test_acceptance import linial_meshulam
 
 from simpcrit import trees
 from simpcrit.complexes import SimplicialComplex
-from simpcrit.critical import reduced_laplacian
+from simpcrit.critical import critical_group_reduced, reduced_laplacian
+from simpcrit.flows import extend_to_conservative, to_group_element
 from simpcrit.generators import bipyramid, complete_graph, cycle, simplex_skeleton, sphere
-from simpcrit.intlinalg import column_basis, determinant
+from simpcrit.intlinalg import column_basis, determinant, invariant_factors
 from simpcrit.trees import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     NotAcyclicError,
     NotATreeError,
+    SpanningTree,
+    TreeHasTorsionError,
     _rank_and_torsion,
     _search,
     as_spanning_tree,
@@ -93,6 +96,43 @@ def test_bipyramid_two_tree_pair_rule():
 def test_unknown_face_raises():
     with pytest.raises(ValueError):
         is_spanning_tree(bipyramid(), 1, [(4, 5)])
+
+
+def test_a_tree_is_checked_once(monkeypatch):
+    # one Smith form of d_1[:, T] per complex, however the tree is passed
+    faces = [(1, 2), (1, 3), (1, 4), (2, 5)]
+    factored = []
+    monkeypatch.setattr(trees, "invariant_factors",
+                        lambda m: factored.append(m) or invariant_factors(m))
+
+    def checks(comp):
+        bd = comp.boundary_matrix(1)
+        sub = bd.submatrix(range(bd.rows), [comp.face_index(1, f) for f in faces])
+        return sum(m == sub for m in factored)
+
+    b = bipyramid()
+    critical_group_reduced(b, 1, faces)
+    assert checks(b) == 1
+    b = bipyramid()
+    factored.clear()
+    for k in range(20):
+        tree = SpanningTree(1, tuple(faces), torsion_order=1) if k % 3 else faces[::-1]
+        if k % 2:
+            to_group_element(b, 1, tree, [k, 0, 0, 0, 1])
+        else:
+            extend_to_conservative(b, 1, tree, [k, 0, 0, 0, 1])
+    assert checks(b) == 1
+
+
+def test_a_forged_torsion_order_is_not_trusted():
+    comp = SimplicialComplex.from_facets(RP2_FACETS + [(5, 6, 7, 8)])
+    # the first 2-tree: RP^2 and three faces of the tetrahedron, torsion 2
+    forged = SpanningTree(2, tuple(RP2_FACETS + [(5, 6, 7), (5, 6, 8), (5, 7, 8)]), 1)
+    # the second call finds the check remembered, with the true torsion
+    with pytest.raises(TreeHasTorsionError, match="order 2"):
+        critical_group_reduced(comp, 2, forged)
+    with pytest.raises(TreeHasTorsionError, match="order 2"):
+        to_group_element(comp, 2, forged, [0] * len(comp.faces(2)))
 
 
 def test_as_spanning_tree_coercion():
@@ -434,14 +474,6 @@ def test_smtt_reduces_to_classical_matrix_tree():
         brute = spanning_trees_brute(n, list(comp.faces(1)))
         assert rep.tau == len(brute)
         assert rep.det_reduced == len(brute)
-
-
-def test_smtt_rejects_census_of_wrong_dimension():
-    b = bipyramid()
-    with pytest.raises(ValueError, match="2-tree census.*dimension 1"):
-        verify_smtt(b, 2, census=enumerate_trees(b, 1))
-    with pytest.raises(ValueError, match="1-tree census.*dimension 2"):
-        verify_smtt(b, 2, census_prev=enumerate_trees(b, 2))
 
 
 def test_smtt_requires_apc():
