@@ -310,9 +310,9 @@ def _cmd_verify_sphere(args, comp, warnings):
     if d < 1:
         raise ValueError("sphere check needs dimension at least 1")
     n_facets = len(comp.faces(d))
-    # the theorem's hypothesis: every ridge in exactly two facets
+    # the theorem's hypothesis: pure, and every ridge in exactly two facets
     ridges = Counter(f[:j] + f[j + 1:] for f in comp.faces(d) for j in range(len(f)))
-    if any(n != 2 for n in ridges.values()):
+    if not comp.is_pure() or any(n != 2 for n in ridges.values()):
         raise _NotAPseudomanifoldError(
             "complex is not a pseudomanifold; the sphere theorem does not apply"
         )

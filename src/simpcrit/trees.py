@@ -13,13 +13,14 @@ remaining tree condition then follows, and the torsion order
 |H_{i-1}(tree)| is the product of the invariant factors of the
 restricted boundary matrix.
 
-The exhaustive search reads the torsion off its last Bareiss pivot
-instead.  By the determinant lemma of Duval, Klivans and Martin
-(Simplicial matrix-tree theorems, Trans. AMS 2009), the square minor of
-d_i on the rows outside a fixed (i-1)-basis and the columns of a tree T
-is +-c |H_{i-1}(T)|, with an index c that does not depend on T.  The
-search calibrates c with one Smith form at its first leaf and divides
-every leaf's pivot by it, exactly.
+An i-tree exists exactly when beta~_{i-1} = 0 (Duval, Klivans and
+Martin, Simplicial matrix-tree theorems, Trans. AMS 2009).  The
+exhaustive search reads the torsion off its last Bareiss pivot instead:
+by the same paper's determinant lemma, the square minor of d_i on the
+rows outside a fixed (i-1)-basis and the columns of a tree T is
++-c |H_{i-1}(T)|, with an index c that does not depend on T.  The search
+calibrates c with the tree check at its first leaf and divides every
+leaf's pivot by it, exactly.
 """
 
 from __future__ import annotations
@@ -114,20 +115,19 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
 def as_spanning_tree(comp, i, tree) -> SpanningTree:
     """Coerce a SpanningTree or an iterable of i-faces, checked once per
     (complex, i, face set).  The checked tree is returned, never the
-    caller's torsion order; a failed check raises NotATreeError and is
-    not remembered."""
+    caller's torsion order; a failed check raises NotATreeError, and only
+    an unknown face or a bad dimension is not remembered."""
     if isinstance(tree, SpanningTree):
         if tree.dimension != i:
             raise NotATreeError(f"tree has dimension {tree.dimension}, expected {i}")
         tree = tree.top_faces
     try:
-        key = ("tree", i, tuple(sorted({make_face(f) for f in tree})))
-        checked = comp._memo.get(key) or is_spanning_tree(comp, i, key[2])
+        faces = tuple(sorted({make_face(f) for f in tree}))
+        checked = comp._memoized(("tree", i, faces), lambda: is_spanning_tree(comp, i, faces))
     except ValueError as exc:
         raise NotATreeError(str(exc)) from None
     if checked is None:
         raise NotATreeError(f"not a {i}-dimensional spanning tree of the complex")
-    comp._memo[key] = checked
     return checked
 
 
@@ -146,12 +146,11 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
     one on.  Its first leaf, the lexicographically first basis, costs at
     most (tree size) x (index of its last face) extensions: 274,170 for
     the 741-face first 2-tree of ``simplex_skeleton(40, 2)``.  Returns
-    None when no i-tree exists (beta~_{i-1} != 0) or none is torsion-free;
-    raises BudgetExceededError when the budget runs out before one is found.
+    the census's first torsion-free leaf, or None (with no budget spent
+    if beta~_{i-1} != 0); raises BudgetExceededError when the budget runs
+    out before one is found.
     """
     _check_dim(comp, i)
-    if comp.reduced_homology(i - 1).betti:
-        return None
     found = []
 
     def grab(t):
@@ -176,10 +175,10 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
 
 
 class _EnumState:
-    __slots__ = ("bd", "faces", "need", "budget", "on_tree", "census")
+    __slots__ = ("comp", "faces", "need", "budget", "on_tree", "census")
 
     def __init__(self, comp, i, budget, on_tree):
-        self.bd = comp.boundary_matrix(i)
+        self.comp = comp
         self.faces = comp.faces(i)
         self.need = required_tree_size(comp, i)
         self.budget = budget
@@ -194,18 +193,20 @@ class _EnumState:
             raise BudgetExceededError
         c.extensions += n
 
+    def checked_torsion(self, chosen):
+        """The torsion of the leaf ``chosen`` from its memoized tree check."""
+        faces = [self.faces[j] for j in chosen]
+        return as_spanning_tree(self.comp, self.census.dimension, faces).torsion_order
+
 
 def _record(state, chosen, torsion):
-    tree = SpanningTree(
-        dimension=state.census.dimension,
-        top_faces=tuple(state.faces[j] for j in chosen),
-        torsion_order=torsion,
-    )
     c = state.census
     c.count += 1
     c.tau += torsion * torsion
     c.torsion_histogram[torsion] = c.torsion_histogram.get(torsion, 0) + 1
-    if state.on_tree is not None and state.on_tree(tree):
+    if state.on_tree is not None and state.on_tree(
+        SpanningTree(c.dimension, tuple(state.faces[j] for j in chosen), torsion)
+    ):
         raise _StopStream
 
 
@@ -227,7 +228,7 @@ def _dfs(state, root):
     ``_rows_outside_basis``.  Each step is Bareiss's, divided exactly by
     the parent pivot, so a level-k entry is a (k+1)-minor and a leaf's
     one nonzero entry is +-det d_i[rows, tree] = c |H_{i-1}(tree)| (see
-    the module docstring).  The first leaf reads c off one Smith form."""
+    the module docstring).  The first leaf reads c off its tree check."""
     need = state.need
     chosen = []
     levels = [[root, 0, 1]]
@@ -247,7 +248,7 @@ def _dfs(state, root):
             tree = chosen + [j]
             det = abs(next(x for x in vec if x))
             if index is None:
-                index = _exact_div(det, _rank_and_torsion(state.bd, tree)[1])
+                index = _exact_div(det, state.checked_torsion(tree))
             _record(state, tree, _exact_div(det, index))
             continue
         # take candidate #pos and reduce the rest against its column
@@ -278,15 +279,14 @@ def _descend(state, cands):
     """The first leaf of ``_dfs``, keeping no candidate lists: each
     candidate is reduced against the taken columns, in ``_dfs``'s order,
     only when its turn comes (``column_basis``), so nothing past the
-    leaf's last face is touched and the extensions are fewer.  Records
-    nothing if the candidates run out (no tree exists)."""
+    leaf's last face is touched and the extensions are fewer."""
     chosen = []
     for j, steps, taken in column_basis(cands):
         state.charge(steps)
         if taken:
             chosen.append(j)
             if len(chosen) == state.need:
-                _record(state, chosen, _rank_and_torsion(state.bd, chosen)[1])
+                _record(state, chosen, state.checked_torsion(chosen))
                 return
 
 
@@ -322,34 +322,32 @@ def enumerate_trees(
     pruning, so dependent prefixes die early.  ``on_tree`` receives each
     SpanningTree as found; returning a truthy value stops the run.
     Exceeding ``budget`` column reductions leaves a partial census with
-    ``complete=False`` and a warning, never a silent truncation.
-
-    If the i-skeleton is not acyclic in positive codimension the census
-    is empty, with a warning: the matrix-tree theorems it serves assume
-    that.  Trees can still exist (whenever beta~_{i-1} = 0), and
-    ``find_torsion_free_tree`` does not apply this check.
+    ``complete=False`` and a warning, never a silent truncation.  The
+    census is empty, complete and warned of exactly when beta~_{i-1} != 0.
     """
     _check_dim(comp, i)
-    if not comp.is_apc(i):
-        return TreeCensus(dimension=i, warnings=(
-            "skeleton is not acyclic in positive codimension: no spanning trees",
-        ))
     return _search(comp, i, budget, on_tree)
 
 
 def _search(comp, i, budget, on_tree, descend=False):
     """The one tree search: depth-first over face indices in lexicographic
     order, a leaf for every set of ``required_tree_size`` independent
-    columns.  With ``descend``, only up to its first leaf."""
+    columns.  With ``descend``, only up to its first leaf.  When
+    beta~_{i-1} != 0 no i-tree exists: an empty, complete census with a
+    warning, and no budget spent."""
+    if comp.reduced_homology(i - 1).betti:
+        why = f"reduced homology in dimension {i - 1} is infinite: no {i}-dimensional spanning trees"
+        return TreeCensus(dimension=i, warnings=(why,))
     state = _EnumState(comp, i, budget, on_tree)
     census = state.census
+    bd = comp.boundary_matrix(i)
     try:
         if state.need == 0:
             _record(state, [], 1)  # no columns: no invariant factors
         elif descend:
-            _descend(state, _root_candidates(state.bd, range(state.bd.rows)))
+            _descend(state, _root_candidates(bd, range(bd.rows)))
         else:
-            _dfs(state, list(_root_candidates(state.bd, _rows_outside_basis(comp, i))))
+            _dfs(state, list(_root_candidates(bd, _rows_outside_basis(comp, i))))
     except BudgetExceededError:
         census.complete = False
         census.warnings += (
@@ -392,8 +390,8 @@ def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttRep
     form of tau_i, all in exact integer arithmetic (cross-multiplied).
 
     The theorem needs the i-skeleton to be acyclic in positive
-    codimension, the check ``enumerate_trees`` makes: otherwise
-    NotAcyclicError.  That makes H_{i-2} finite and gives (i-1)-trees.
+    codimension: otherwise NotAcyclicError.  That makes H_{i-2} finite
+    and gives (i-1)-trees.
     A partial census makes the identities undefined: BudgetExceededError.
     The (i-1)-tree for the determinant is the first torsion-free leaf of
     the (i-1)-census, else its first leaf, so no second search runs; the

@@ -79,6 +79,8 @@ def test_no_source_is_an_input_error(capsys):
 C5 = ("--gen", "cycle 5")
 # RP^2 plus a tetrahedron: every 2-tree contains RP^2, so none is torsion-free
 RP2_TETRA_FACETS = RP2_FACETS + [(5, 6, 7, 8)]
+# RP^2 coned from 7 plus a disjoint solid tetrahedron: not APC, but 2-trees exist
+CONE_TETRA_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7), (20, 21, 22, 23)]
 
 # (argv, the one stderr line); run in a directory holding bad.txt
 INPUT_ERRORS = [
@@ -266,7 +268,7 @@ def test_verify_main_thm_budget_exits_4(capsys):
     assert "hypothesis" not in err
 
 
-def test_verify_sphere_pass_and_fail(capsys):
+def test_verify_sphere_pass_and_fail(tmp_path, capsys):
     code, rep, _ = run_json(capsys, "--gen", "sphere 2", "verify", "sphere")
     assert code == 0 and rep["result"]["verdict"] == "PASS"
     # the bipyramid is not a pseudomanifold: outside the theorem's
@@ -275,6 +277,14 @@ def test_verify_sphere_pass_and_fail(capsys):
     assert (code, out) == (3, "")
     assert err == ("hypothesis violation: complex is not a pseudomanifold; "
                    "the sphere theorem does not apply\n")
+    # every ridge of the 2-sphere is in two facets, but an extra edge,
+    # dangling or disjoint, makes the complex impure
+    for edge in ("4 5", "7 8"):
+        path = tmp_path / "sphere_edge.txt"
+        path.write_text("1 2 3\n1 2 4\n1 3 4\n2 3 4\n" + edge + "\n")
+        code, out, err = run_cli(capsys, "--facets", str(path), "verify", "sphere")
+        assert (code, out) == (3, ""), edge
+        assert "complex is not a pseudomanifold" in err
 
 
 def test_verify_simplex(capsys):
@@ -397,6 +407,7 @@ K6 = ("--gen", "complete 6")
 LM10 = ("--facets", "lm10.txt")  # K_1 = Z + Z/2 + Z/2 + Z/688015002040
 LM14 = ("--facets", "lm14.txt")
 RP2_TETRA = ("--facets", "rp2_tetra.txt")
+CONE_TETRA = ("--facets", "cone_tetra.txt")
 
 
 def lm_facets(n, p, seed):
@@ -455,6 +466,11 @@ PINNED_REPORTS = [
                   "--tree", "tree.txt"), 0, "9d21c7d0ca81b716"),
     (BIPYRAMID + ("flow", "extend", "--dim", "1", "--theta", "1,0,-2,0,3",
                   "--tree", "tree.txt"), 0, "b0352a9833c97756"),
+    # not APC: every tree search answers from beta~_{i-1} alone
+    (CONE_TETRA + ("trees", "--dim", "2"), 0, "89708dd5d06944dc"),
+    (CONE_TETRA + ("trees", "--dim", "1"), 0, "cfa480898014e269"),
+    (CONE_TETRA + ("critical-group", "--dim", "2"), 0, "e574a5456f491be8"),
+    (CONE_TETRA + ("verify", "main-thm", "--dim", "2", "--trees", "3"), 0, "0a8499a4ec594601"),
 ]
 
 
@@ -466,6 +482,7 @@ def test_reports_are_pinned_byte_for_byte(argv, exit_code, digest, tmp_path, mon
                          ("lm10.txt", lm_facets(10, 0.5, 1)),
                          ("lm14.txt", lm_facets(14, 0.3, 1)),
                          ("rp2_tetra.txt", RP2_TETRA_FACETS),
+                         ("cone_tetra.txt", CONE_TETRA_FACETS),
                          ("tree.txt", [(1, 2), (1, 3), (1, 4), (2, 5)])):
         (tmp_path / name).write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
     code, out, _ = run_cli(capsys, *argv, "--json")

@@ -17,7 +17,6 @@ from simpcrit.trees import (
     SpanningTree,
     TreeHasTorsionError,
     _rank_and_torsion,
-    _search,
     as_spanning_tree,
     enumerate_trees,
     find_torsion_free_tree,
@@ -33,6 +32,8 @@ RP2_FACETS = [
 # RP^2 with the loop 4-5-6 coned off: its first 2-tree has torsion 2, a
 # later one none
 RP2_CONE_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)]
+# plus a disjoint solid tetrahedron: beta~_0 = 1, so not APC, but 2-trees exist
+CONE_TETRA_FACETS = RP2_CONE_FACETS + [(20, 21, 22, 23)]
 
 
 # ---- oracles -------------------------------------------------------------
@@ -113,6 +114,14 @@ def test_a_tree_is_checked_once(monkeypatch):
     b = bipyramid()
     critical_group_reduced(b, 1, faces)
     assert checks(b) == 1
+    # a tree that a search returns was checked by the search
+    for comp, i in ((bipyramid(), 1), (SimplicialComplex.from_facets(CONE_TETRA_FACETS), 2)):
+        factored.clear()
+        tree = find_torsion_free_tree(comp, i)
+        critical_group_reduced(comp, i, tree)
+        bd = comp.boundary_matrix(i)
+        sub = bd.submatrix(range(bd.rows), [comp.face_index(i, f) for f in tree.top_faces])
+        assert sum(m == sub for m in factored) == 1, (comp, i)
     b = bipyramid()
     factored.clear()
     for k in range(20):
@@ -241,10 +250,10 @@ def snf_torsion(comp, tree):
     return _rank_and_torsion(comp.boundary_matrix(tree.dimension), cols)[1]
 
 
-def stream_leaves(comp, i, *, search=enumerate_trees, budget=DEFAULT_BUDGET, stop=None):
+def stream_leaves(comp, i, *, budget=DEFAULT_BUDGET, stop=None):
     leaves = []
-    census = search(comp, i, budget=budget,
-                    on_tree=lambda t: leaves.append(t) or len(leaves) == stop)
+    census = enumerate_trees(comp, i, budget=budget,
+                             on_tree=lambda t: leaves.append(t) or len(leaves) == stop)
     return census, leaves
 
 
@@ -310,14 +319,13 @@ def test_pinned_census_walks():
 
 
 def test_full_search_without_apc():
-    # disjoint unions are not APC (beta~_0 = 1), so enumerate_trees
-    # declines them, but find_torsion_free_tree runs the full search
-    # whenever the first leaf has torsion
+    # disjoint unions are not APC (beta~_0 = 1), but beta~_1 = 0, so their
+    # 2-trees exist and the census walks them all
     shifted = [tuple(v + 10 for v in f) for f in RP2_FACETS]
     two_rp2 = SimplicialComplex.from_facets(RP2_FACETS + shifted)
     assert not two_rp2.is_apc(2)
     assert find_torsion_free_tree(two_rp2, 2) is None
-    census, _ = stream_leaves(two_rp2, 2, search=_search)
+    census, _ = stream_leaves(two_rp2, 2)
     assert census.torsion_histogram == {4: 1}
 
     # two disjoint coned RP^2: a tree is a pair of trees, one of each
@@ -329,11 +337,16 @@ def test_full_search_without_apc():
     want = tuple(cone_tree) + tuple(tuple(v + 10 for v in f) for f in cone_tree)
     t = find_torsion_free_tree(two_cones, 2)
     assert t.top_faces == want and t.torsion_order == 1
-    census, leaves = stream_leaves(two_cones, 2, search=_search)
+    census, leaves = stream_leaves(two_cones, 2)
     assert (census.count, census.extensions) == (169, 16770)
     assert census.torsion_histogram == {4: 9, 2: 60, 1: 100}
     for t in leaves:
         assert t.torsion_order == snf_torsion(two_cones, t), t
+
+    # a coned RP^2 and a solid tetrahedron: 13 x 4 trees
+    census = enumerate_trees(SimplicialComplex.from_facets(CONE_TETRA_FACETS), 2)
+    assert (census.count, census.tau, census.complete) == (52, 88, True)
+    assert census.torsion_histogram == {1: 40, 2: 12}
 
 
 # ---- torsion-free search -------------------------------------------------------
@@ -398,16 +411,43 @@ def test_first_trees_match_brute_force():
 
 
 def test_tree_exists_without_apc():
-    # two disjoint solid tetrahedra: beta~_1 = 0, so 2-trees exist, but
-    # beta~_0 = 1, so the census declines and no 1-tree exists
+    # two disjoint solid tetrahedra: beta~_1 = 0, so 2-trees exist (a pair
+    # of 3-facet trees, 4 x 4 of them), but beta~_0 = 1, so no 1-tree does
     comp = SimplicialComplex.from_facets([(1, 2, 3, 4), (5, 6, 7, 8)])
     t = find_torsion_free_tree(comp, 2)
     assert t is not None and is_spanning_tree(comp, 2, t.top_faces) == t
-    census = enumerate_trees(comp, 2)
-    assert census.count == 0 and census.complete
+    census, leaves = stream_leaves(comp, 2)
+    assert (census.count, census.tau, census.extensions) == (16, 16, 135)
+    assert census.torsion_histogram == {1: 16} and census.complete
+    assert leaves[0] == t
+    census = enumerate_trees(comp, 1)
+    assert (census.count, census.extensions, census.complete) == (0, 0, True)
     assert census.warnings == (
-        "skeleton is not acyclic in positive codimension: no spanning trees",)
+        "reduced homology in dimension 0 is infinite: no 1-dimensional spanning trees",)
     assert find_torsion_free_tree(comp, 1) is None
+
+
+def test_one_existence_rule():
+    # a census is empty iff beta~_{i-1} != 0, and the torsion-free search
+    # returns the census's first torsion-free leaf
+    shift = [tuple(v + 10 for v in f) for f in RP2_CONE_FACETS]
+    comps = [bipyramid(), sphere(2), sphere(3), simplex_skeleton(5, 2), cycle(5),
+             SimplicialComplex.from_facets(RP2_FACETS),
+             SimplicialComplex.from_facets(RP2_CONE_FACETS),
+             SimplicialComplex.from_facets(RP2_FACETS + [(5, 6, 7, 8)]),
+             SimplicialComplex.from_facets(CONE_TETRA_FACETS),
+             SimplicialComplex.from_facets(RP2_CONE_FACETS + shift),
+             SimplicialComplex.from_facets([(1, 2, 3, 4), (5, 6, 7, 8)]),
+             SimplicialComplex.from_facets([(1, 2), (3, 4)]),
+             linial_meshulam(6, 0.5, 3), linial_meshulam(7, 0.5, 1)]
+    assert sum(not comp.is_apc() for comp in comps) >= 4
+    for comp in comps:
+        for i in range(comp.dim + 1):
+            census, leaves = stream_leaves(comp, i)
+            assert census.complete, (comp, i)
+            assert (census.count == 0) == bool(comp.reduced_homology(i - 1).betti), (comp, i)
+            free = [t for t in leaves if t.torsion_order == 1]
+            assert find_torsion_free_tree(comp, i) == (free[0] if free else None), (comp, i)
 
 
 def test_no_tree_is_answered_before_searching():
