@@ -27,7 +27,7 @@ import hashlib
 import json
 import random
 import sys
-from collections import Counter
+from collections import defaultdict
 
 from . import generators
 from .complexes import SimplicialComplex, make_face
@@ -54,9 +54,9 @@ from .trees import (
     NotAcyclicError,
     NotATreeError,
     TreeHasTorsionError,
+    as_spanning_tree,
     enumerate_trees,
     find_torsion_free_tree,
-    is_spanning_tree,
     verify_smtt,
 )
 
@@ -118,11 +118,13 @@ def _resolve_tree(comp, dim, spec):
                 "no torsion-free spanning tree exists in this dimension"
             )
         return tree
-    faces = load_facet_file(spec)
-    tree = is_spanning_tree(comp, dim, faces)
-    if tree is None:
-        raise NotATreeError(f"{spec}: the listed faces are not a spanning tree")
-    return tree
+    faces = sorted({make_face(f) for f in load_facet_file(spec)})
+    for f in faces:
+        comp.face_index(dim, f)  # an unknown face is an input error
+    try:
+        return as_spanning_tree(comp, dim, faces)
+    except NotATreeError:
+        raise NotATreeError(f"{spec}: the listed faces are not a spanning tree") from None
 
 
 class _NotAPseudomanifoldError(Exception):
@@ -309,10 +311,21 @@ def _cmd_verify_sphere(args, comp, warnings):
     d = comp.dim
     if d < 1:
         raise ValueError("sphere check needs dimension at least 1")
-    n_facets = len(comp.faces(d))
-    # the theorem's hypothesis: pure, and every ridge in exactly two facets
-    ridges = Counter(f[:j] + f[j + 1:] for f in comp.faces(d) for j in range(len(f)))
-    if not comp.is_pure() or any(n != 2 for n in ridges.values()):
+    facets = comp.faces(d)
+    # the theorem's hypothesis: pure, every ridge in exactly two facets,
+    # and any facet reached from any other through shared ridges
+    ridges = defaultdict(list)
+    for f in facets:
+        for j in range(len(f)):
+            ridges[f[:j] + f[j + 1:]].append(f)
+    reached, frontier = set(), [facets[0]]
+    while frontier:
+        f = frontier.pop()
+        if f not in reached:
+            reached.add(f)
+            frontier.extend(g for j in range(len(f)) for g in ridges[f[:j] + f[j + 1:]])
+    if (not comp.is_pure() or any(len(fs) != 2 for fs in ridges.values())
+            or len(reached) != len(facets)):
         raise _NotAPseudomanifoldError(
             "complex is not a pseudomanifold; the sphere theorem does not apply"
         )
@@ -320,11 +333,11 @@ def _cmd_verify_sphere(args, comp, warnings):
     cyclic = group.betti == 0 and len(group.torsion) <= 1
     return {
         "dimension": d,
-        "facets": n_facets,
+        "facets": len(facets),
         "group": _factors(group.torsion),
         "group_order": _s(group.order),
         "cyclic": cyclic,
-        "verdict": "PASS" if cyclic and group.order == n_facets else "FAIL",
+        "verdict": "PASS" if cyclic and group.order == len(facets) else "FAIL",
     }
 
 

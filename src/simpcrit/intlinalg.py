@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Everything here works over Z with Python's arbitrary-precision ints:
-Smith normal form with unimodular transforms, fraction-free (Bareiss)
-determinants, pseudo-determinants, cokernels of integer maps as finitely
-generated abelian groups, and integer linear solving via the Smith
-transforms.
+Smith normal form with unimodular transforms replayed from its operation
+log, fraction-free (Bareiss) determinants, pseudo-determinants, cokernels
+of integer maps as finitely generated abelian groups, and integer linear
+solving via the Smith transforms.
 
 A pseudo-determinant (the product of the nonzero eigenvalues of a
 symmetric matrix L) comes from a basis B of L's column space, taken from
@@ -21,6 +21,7 @@ Smith form then runs only on what is left.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 
@@ -135,18 +136,21 @@ class IntMatrix:
 class SmithForm:
     """U * A * V = diag(d) with U, V unimodular and d_1 | d_2 | ... | d_r > 0.
 
-    ``u_inv`` and ``v_inv`` are the exact inverses of the transforms.  No
-    library code reads them: integer solving and group coordinates use
-    ``u`` and ``v`` only.  They stay because the benchmark tracer reads
-    their bit-lengths and the tests check them.
+    The elimination of A (of ``shape`` m x n) only logs its row and column
+    operations; each transform is replayed from a log when first read, a
+    column operation on A being the same row operation on V^T.
     """
 
     d: tuple
     rank: int
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    shape: tuple
+    row_log: tuple
+    col_log: tuple
+
+    u = cached_property(lambda self: _replay(self.row_log, self.shape[0]))
+    u_inv = cached_property(lambda self: _replay(self.row_log, self.shape[0], undo=True))
+    v = cached_property(lambda self: _replay(self.col_log, self.shape[1]).transpose())
+    v_inv = cached_property(lambda self: _replay(self.col_log, self.shape[1], undo=True).transpose())
 
 
 @dataclass(frozen=True)
@@ -185,23 +189,35 @@ def _select_pivot(A, t, m, n):
     return (bi, bj) if best else None
 
 
-def _snf_engine(a_data, m, n, want_transforms):
+def _replay(log, size, undo=False):
+    """E_k...E_1 for the logged row operations E_1..E_k, or E_1^-1...E_k^-1
+    with ``undo``: (i, k, None) swaps rows i and k, (i, None, -1) negates
+    row i, and (i, k, q) adds q times row k to row i (-q to undo it)."""
+    m = IntMatrix.diagonal([1] * size)
+    rows = m.data
+    for i, k, q in reversed(log) if undo else log:
+        if q is None:
+            rows[i], rows[k] = rows[k], rows[i]
+        elif k is None:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = -q if undo else q
+            ri = rows[i]
+            for j, y in enumerate(rows[k]):
+                if y:
+                    ri[j] += q * y
+    return m
+
+
+def _snf_engine(a_data, m, n, row_log=None, col_log=None):
+    """The invariant factors of the m x n a_data, which is not changed;
+    given lists, each row and column operation is logged for ``_replay``."""
     A = [row[:] for row in a_data]
-    if want_transforms:
-        U = [[int(i == j) for j in range(m)] for i in range(m)]
-        Ui = [[int(i == j) for j in range(m)] for i in range(m)]
-        V = [[int(i == j) for j in range(n)] for i in range(n)]
-        Vi = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        U = Ui = V = Vi = None
 
     def swap_rows(i, k):
         A[i], A[k] = A[k], A[i]
-        if U is not None:
-            U[i], U[k] = U[k], U[i]
-            for r in range(m):
-                Uir = Ui[r]
-                Uir[i], Uir[k] = Uir[k], Uir[i]
+        if row_log is not None:
+            row_log.append((i, k, None))
 
     def add_row(i, k, q):
         # row i += q * row k
@@ -209,44 +225,27 @@ def _snf_engine(a_data, m, n, want_transforms):
         for j in range(n):
             if Ak[j]:
                 Ai[j] += q * Ak[j]
-        if U is not None:
-            Uiq, Ukq = U[i], U[k]
-            for j in range(m):
-                if Ukq[j]:
-                    Uiq[j] += q * Ukq[j]
-            for r in range(m):
-                Uir = Ui[r]
-                if Uir[i]:
-                    Uir[k] -= q * Uir[i]
+        if row_log is not None:
+            row_log.append((i, k, q))
 
     def neg_row(i):
         A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-            for r in range(m):
-                Ui[r][i] = -Ui[r][i]
+        if row_log is not None:
+            row_log.append((i, None, -1))
 
     def swap_cols(j, k):
         for r in A:
             r[j], r[k] = r[k], r[j]
-        if V is not None:
-            for r in V:
-                r[j], r[k] = r[k], r[j]
-            Vi[j], Vi[k] = Vi[k], Vi[j]
+        if col_log is not None:
+            col_log.append((j, k, None))
 
     def add_col(j, k, q):
         # col j += q * col k
         for r in A:
             if r[k]:
                 r[j] += q * r[k]
-        if V is not None:
-            for r in V:
-                if r[k]:
-                    r[j] += q * r[k]
-            Vik, Vij = Vi[k], Vi[j]
-            for c in range(n):
-                if Vij[c]:
-                    Vik[c] -= q * Vij[c]
+        if col_log is not None:
+            col_log.append((j, k, q))
 
     t = 0
     dim = min(m, n)
@@ -254,14 +253,14 @@ def _snf_engine(a_data, m, n, want_transforms):
         p = _select_pivot(A, t, m, n)
         if p is None:
             break
-        pi, pj = p
-        if pi != t:
-            swap_rows(pi, t)
-        if pj != t:
-            swap_cols(pj, t)
-        if A[t][t] < 0:
-            neg_row(t)
         while True:
+            pi, pj = p
+            if pi != t:
+                swap_rows(pi, t)
+            if pj != t:
+                swap_cols(pj, t)
+            if A[t][t] < 0:
+                neg_row(t)
             piv = A[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -282,15 +281,8 @@ def _snf_engine(a_data, m, n, want_transforms):
                         dirty = True
             if dirty:
                 # a remainder smaller than the pivot survived; re-pivot on it
-                pi, pj = _select_pivot(A, t, m, n)
-                if pi != t:
-                    swap_rows(pi, t)
-                if pj != t:
-                    swap_cols(pj, t)
-                if A[t][t] < 0:
-                    neg_row(t)
+                p = _select_pivot(A, t, m, n)
                 continue
-            piv = A[t][t]
             viol = -1
             for r in range(t + 1, m):
                 Ar = A[r]
@@ -304,31 +296,23 @@ def _snf_engine(a_data, m, n, want_transforms):
                 break
             # fold the offending row into row t; the next pass shrinks the pivot
             add_row(t, viol, 1)
+            p = t, t
         t += 1
-
-    d = []
-    for k in range(dim):
-        if A[k][k] == 0:
-            break
-        d.append(A[k][k])
-    return d, U, V, Ui, Vi
+    # each pivot is positive, and later steps never touch it
+    return [A[k][k] for k in range(t)]
 
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular transforms and their inverses.
+    """Smith normal form with unimodular transforms and their inverses,
+    each replayed from the elimination's log when first read.
 
     Deterministic: the pivot is always the nonzero entry of minimal
     absolute value, ties broken by lowest (row, col).
     """
-    d, U, V, Ui, Vi = _snf_engine(a.data, a.rows, a.cols, True)
-    return SmithForm(
-        d=tuple(d),
-        rank=len(d),
-        u=IntMatrix(a.rows, a.rows, U),
-        v=IntMatrix(a.cols, a.cols, V),
-        u_inv=IntMatrix(a.rows, a.rows, Ui),
-        v_inv=IntMatrix(a.cols, a.cols, Vi),
-    )
+    row_log, col_log = [], []
+    d = _snf_engine(a.data, a.rows, a.cols, row_log, col_log)
+    return SmithForm(d=tuple(d), rank=len(d), shape=(a.rows, a.cols),
+                     row_log=tuple(row_log), col_log=tuple(col_log))
 
 
 def _eliminate_unit_pivots(a_data):
@@ -400,7 +384,7 @@ def invariant_factors(a: IntMatrix) -> tuple:
     factors are unique, so the pivot order never changes the result.
     """
     units, rest = _eliminate_unit_pivots(a.data)
-    d, *_ = _snf_engine(rest, len(rest), len(rest[0]) if rest else 0, False)
+    d = _snf_engine(rest, len(rest), len(rest[0]) if rest else 0)
     return (1,) * units + tuple(d)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_acceptance import RP2_FACETS
 
-from simpcrit import cli
+from simpcrit import cli, trees
 from simpcrit.cli import main
 from simpcrit.trees import find_torsion_free_tree
 
@@ -161,6 +161,38 @@ def test_critical_group_bad_tree_exits_3(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "--gen", "bipyramid", "critical-group", "--dim", "1", "--tree", str(tree))
     assert code == 3
+    assert err == f"hypothesis violation: {tree}: the listed faces are not a spanning tree\n"
+
+
+def test_tree_file_is_checked_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = trees.invariant_factors
+
+    def counted(a):
+        calls.append((a.rows, a.cols))
+        return original(a)
+
+    monkeypatch.setattr(trees, "invariant_factors", counted)
+    tree = tmp_path / "tree.txt"
+    tree.write_text("1 2\n1 3\n1 4\n2 5\n")
+    for argv in (("critical-group", "--dim", "1"),
+                 ("flow", "canonical", "--dim", "1", "--config", "1,2,3,0,0,0,0,0,5"),
+                 ("flow", "extend", "--dim", "1", "--theta", "1,0,-2,0,3")):
+        del calls[:]
+        code, _, _ = run_cli(capsys, "--gen", "bipyramid", *argv, "--tree", str(tree))
+        assert code == 0
+        # one Smith form of the tree's 5 x 4 boundary columns
+        assert calls == [(5, 4)], argv
+
+
+def test_tree_file_with_a_bad_face_exits_2(tmp_path, capsys):
+    tree = tmp_path / "tree.txt"
+    base = ("--gen", "bipyramid", "critical-group", "--dim", "1", "--tree", str(tree))
+    for text, message in (("1 2\n1 3\n1 9\n2 5\n", "(1, 9) is not a 1-face of the complex"),
+                          ("1 2\n1 1\n", "duplicate vertex 1 in face [1, 1]"),
+                          ("1 2\n0 3\n", "vertex labels must be positive integers")):
+        tree.write_text(text)
+        assert run_cli(capsys, *base) == (2, "", f"error: {message}\n")
 
 
 def test_critical_group_budget_fallback_names_the_budget(tmp_path, capsys, monkeypatch):
@@ -284,6 +316,15 @@ def test_verify_sphere_pass_and_fail(tmp_path, capsys):
         path.write_text("1 2 3\n1 2 4\n1 3 4\n2 3 4\n" + edge + "\n")
         code, out, err = run_cli(capsys, "--facets", str(path), "verify", "sphere")
         assert (code, out) == (3, ""), edge
+        assert "complex is not a pseudomanifold" in err
+    # pure, every ridge in two facets, but not strongly connected: two
+    # disjoint 2-spheres, and two disjoint cycles
+    for facets in ("1 2 3\n1 2 4\n1 3 4\n2 3 4\n5 6 7\n5 6 8\n5 7 8\n6 7 8\n",
+                   "1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n"):
+        path = tmp_path / "disjoint.txt"
+        path.write_text(facets)
+        code, out, err = run_cli(capsys, "--facets", str(path), "verify", "sphere")
+        assert (code, out) == (3, ""), facets
         assert "complex is not a pseudomanifold" in err
 
 

@@ -558,23 +558,56 @@ def test_prepared_maps_match_oracles_on_torsion():
     assert finite == 14
 
 
-@pytest.fixture
-def snf_calls(monkeypatch):
-    """Shapes of the matrices handed to smith_normal_form, through any
-    module's binding of it."""
-    calls = []
+def spy_on_snf(monkeypatch, record):
+    """Call record(a, s) for each Smith form s of a matrix a, through any
+    module's binding of smith_normal_form."""
     original = intlinalg.smith_normal_form
 
-    def counted(a):
-        calls.append((a.rows, a.cols))
-        return original(a)
+    def spy(a):
+        s = original(a)
+        record(a, s)
+        return s
 
     for name, module in list(sys.modules.items()):
         if name == "simpcrit" or name.startswith("simpcrit."):
             for key, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, key, counted)
+                    monkeypatch.setattr(module, key, spy)
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Shapes of the matrices handed to smith_normal_form."""
+    calls = []
+    spy_on_snf(monkeypatch, lambda a, s: calls.append((a.rows, a.cols)))
     return calls
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """The Smith forms smith_normal_form returns."""
+    forms = []
+    spy_on_snf(monkeypatch, lambda a, s: forms.append(s))
+    return forms
+
+
+def built_transforms(s):
+    return [name for name in ("u", "v", "u_inv", "v_inv") if name in vars(s)]
+
+
+def test_smith_forms_build_only_the_transforms_read(smith_forms):
+    comp = linial_meshulam(9, 0.5, 2)
+    tree = find_torsion_free_tree(comp, 1)
+    theta = _theta_indices(comp, 1, tree)
+    rng = random.Random(75)
+    x = [rng.randint(-3, 3) for _ in comp.faces(1)]
+    assert equivalent(comp, 1, x, fire(comp, 1, x, comp.faces(1)[0]))
+    to_group_element(comp, 1, tree, x)
+    # group coordinates and the image test read U only
+    assert [built_transforms(s) for s in smith_forms] == [["u"], ["u"]]
+    # solving reads U and V
+    extend_to_conservative(comp, 1, tree, x[:len(theta)])
+    assert [built_transforms(s) for s in smith_forms] == [["u"], ["u"], ["u", "v"]]
 
 
 def test_one_smith_form_per_memo_key(snf_calls):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -175,6 +176,31 @@ def test_snf_deterministic():
     s1 = smith_normal_form(a)
     s2 = smith_normal_form(IntMatrix(5, 5, [r[:] for r in a.data]))
     assert s1.u == s2.u and s1.v == s2.v and s1.d == s2.d
+
+
+def transform_fixtures():
+    """150 matrices up to 9 x 9: the empty shapes, a zero matrix,
+    diag(2, 3) (which needs the divisibility fold), then seeded dense and
+    sparse ones with small and larger entries."""
+    yield from (IntMatrix(0, 4), IntMatrix(4, 0), IntMatrix(0, 0), IntMatrix(3, 5))
+    yield IntMatrix.diagonal([2, 3])
+    rng = random.Random(20261019)
+    for k in range(145):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        lo, hi = ((-9, 9), (-2, 2), (-40, 40))[k % 3]
+        density = (1.0, 0.4)[k % 2]
+        yield IntMatrix(m, n, [[rng.randint(lo, hi) if rng.random() < density else 0
+                                for _ in range(n)] for _ in range(m)])
+
+
+def test_snf_transforms_are_pinned():
+    # d, U, V and both inverses are canonical for the pivot rule; any
+    # change to the elimination or to how the transforms are built shows here
+    h = hashlib.sha256()
+    for a in transform_fixtures():
+        s = smith_normal_form(a)
+        h.update(repr((s.d, s.u.data, s.v.data, s.u_inv.data, s.v_inv.data)).encode())
+    assert h.hexdigest() == "f1b2029f4209d61f6898c1a04085c010c9c236e98d63df2ba325a4d15a2885ee"
 
 
 def test_invariant_factors_match_snf():
