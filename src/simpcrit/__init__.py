@@ -54,6 +54,7 @@ from .intlinalg import (
 )
 from .trees import (
     BudgetExceededError,
+    HypothesisError,
     NotAcyclicError,
     NotATreeError,
     SpanningTree,

@@ -15,7 +15,8 @@ the exit code from the result alone: ``"verdict": "FAIL"`` exits 5,
 ``"complete": false`` exits 4, anything else exits 0.
 
 Exit codes: 0 success / verification PASS; 2 input error; 3 hypothesis
-violation (e.g. a spanning tree with torsion, or ``verify sphere`` on a
+violation (any ``HypothesisError``: e.g. a spanning tree with torsion,
+``flow canonical`` on an infinite K_i, or ``verify sphere`` on a
 non-pseudomanifold); 4 enumeration budget exceeded (partial results);
 5 verification FAIL.
 """
@@ -51,9 +52,8 @@ from .flows import (
 from .trees import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    NotAcyclicError,
+    HypothesisError,
     NotATreeError,
-    TreeHasTorsionError,
     as_spanning_tree,
     enumerate_trees,
     find_torsion_free_tree,
@@ -65,6 +65,8 @@ EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+
+_NO_TREE = "no torsion-free spanning tree exists in this dimension"
 
 
 # -- input handling ---------------------------------------------------------
@@ -114,9 +116,7 @@ def _resolve_tree(comp, dim, spec):
     if spec == "auto":
         tree = find_torsion_free_tree(comp, dim)
         if tree is None:
-            raise TreeHasTorsionError(
-                "no torsion-free spanning tree exists in this dimension"
-            )
+            raise HypothesisError(_NO_TREE)
         return tree
     faces = sorted({make_face(f) for f in load_facet_file(spec)})
     for f in faces:
@@ -125,10 +125,6 @@ def _resolve_tree(comp, dim, spec):
         return as_spanning_tree(comp, dim, faces)
     except NotATreeError:
         raise NotATreeError(f"{spec}: the listed faces are not a spanning tree") from None
-
-
-class _NotAPseudomanifoldError(Exception):
-    """The hypothesis of the sphere theorem fails."""
 
 
 # -- report plumbing --------------------------------------------------------
@@ -281,7 +277,7 @@ def _cmd_verify_main_thm(args, comp, warnings):
     census = enumerate_trees(comp, args.dim, budget=args.budget, on_tree=grab)
     partial = len(found) < args.trees and not census.complete
     if not found and not partial:
-        raise TreeHasTorsionError("no torsion-free spanning tree exists")
+        raise HypothesisError(_NO_TREE)
     rows = []
     for tree in found:
         g = critical_group_reduced(comp, args.dim, tree)
@@ -326,7 +322,7 @@ def _cmd_verify_sphere(args, comp, warnings):
             frontier.extend(g for j in range(len(f)) for g in ridges[f[:j] + f[j + 1:]])
     if (not comp.is_pure() or any(len(fs) != 2 for fs in ridges.values())
             or len(reached) != len(facets)):
-        raise _NotAPseudomanifoldError(
+        raise HypothesisError(
             "complex is not a pseudomanifold; the sphere theorem does not apply"
         )
     group = critical_group_direct(comp, d - 1)
@@ -600,7 +596,7 @@ def main(argv=None) -> int:
             if not 0 <= args.dim <= hi:
                 raise ValueError(f"--dim {args.dim} out of range [0, {hi}] for this complex")
         result = args.run(args, comp, warnings)
-    except (NotATreeError, TreeHasTorsionError, NotAcyclicError, _NotAPseudomanifoldError) as exc:
+    except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except BudgetExceededError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex, make_face
 from .critical import _theta_indices, laplacian, reduced_laplacian
 from .intlinalg import _solve, smith_normal_form
-from .trees import as_spanning_tree, require_torsion_free
+from .trees import HypothesisError, as_spanning_tree, require_torsion_free
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
     to the same element iff they are equivalent.  The tree is checked,
     and the Smith form of its reduced Laplacian computed, once per
     (complex, i, tree); a residue is then one dot product modulo its
-    factor.
+    factor.  A free part in K_i raises HypothesisError, a ValueError.
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
@@ -193,7 +193,7 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
         )
     coords = _group_coordinates(comp, i, tree)
     if coords is None:
-        raise ValueError("critical group has a free part; residues are not canonical")
+        raise HypothesisError("critical group has a free part; residues are not canonical")
     moduli, rows = coords
     residues = [0] * len(moduli)
     for j, row, d in rows:

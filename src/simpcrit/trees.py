@@ -34,12 +34,17 @@ from .intlinalg import column_basis, determinant, invariant_factors
 DEFAULT_BUDGET = 10_000_000
 
 
-class NotATreeError(ValueError):
+class HypothesisError(ValueError):
+    """The request is outside the hypotheses of the theorem it uses; the
+    CLI exits 3.  A spent budget is not one: BudgetExceededError."""
+
+
+class NotATreeError(HypothesisError):
     """The given set of faces is not a simplicial spanning tree."""
 
 
-class TreeHasTorsionError(ValueError):
-    """The tree has nontrivial codimension-one torsion, which the
+class TreeHasTorsionError(HypothesisError):
+    """This tree has nontrivial codimension-one torsion, which the
     requested operation's hypotheses forbid."""
 
 
@@ -61,7 +66,7 @@ class TreeCensus:
     warnings: tuple = ()
 
 
-class NotAcyclicError(ValueError):
+class NotAcyclicError(HypothesisError):
     """The skeleton is not acyclic in positive codimension, which the
     matrix-tree theorems assume."""
 
@@ -342,9 +347,7 @@ def _search(comp, i, budget, on_tree, descend=False):
     census = state.census
     bd = comp.boundary_matrix(i)
     try:
-        if state.need == 0:
-            _record(state, [], 1)  # no columns: no invariant factors
-        elif descend:
+        if descend:
             _descend(state, _root_candidates(bd, range(bd.rows)))
         else:
             _dfs(state, list(_root_candidates(bd, _rows_outside_basis(comp, i))))
@@ -416,8 +419,6 @@ def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttRep
     for c in (census, census_prev):
         if not c.complete:
             raise BudgetExceededError(f"{c.dimension}-tree " + "; ".join(c.warnings))
-    if census_prev.tau == 0:
-        raise ValueError("tau_{i-1} is zero: the identities are undefined")
     h_order = comp.reduced_homology(i - 2).order
 
     pi = pi_product(comp, i)

@@ -135,6 +135,27 @@ def test_input_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+NO_TREE = "no torsion-free spanning tree exists in this dimension"
+# (argv, the one stderr line); run in a directory holding rp2_tetra.txt
+HYPOTHESIS_ERRORS = [
+    # K_1 of a 5-cycle is Z: residues need a finite critical group
+    (C5 + ("flow", "canonical", "--dim", "1", "--config", "1,0,0,0,0"),
+     "critical group has a free part; residues are not canonical"),
+    (("--facets", "rp2_tetra.txt", "flow", "canonical", "--dim", "2", "--config", "1"), NO_TREE),
+    (("--facets", "rp2_tetra.txt", "verify", "main-thm", "--dim", "2"), NO_TREE),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", HYPOTHESIS_ERRORS, ids=[" ".join(a) for a, _ in HYPOTHESIS_ERRORS])
+def test_hypothesis_errors_exit_3_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rp2_tetra.txt").write_text(
+        "".join(" ".join(map(str, f)) + "\n" for f in RP2_TETRA_FACETS))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"hypothesis violation: {message}\n")
+
+
 # ---- critical-group ---------------------------------------------------------------
 
 def test_critical_group_bipyramid(capsys):
@@ -449,6 +470,8 @@ LM10 = ("--facets", "lm10.txt")  # K_1 = Z + Z/2 + Z/2 + Z/688015002040
 LM14 = ("--facets", "lm14.txt")
 RP2_TETRA = ("--facets", "rp2_tetra.txt")
 CONE_TETRA = ("--facets", "cone_tetra.txt")
+# a solid triangle with a 3-cycle 3-4-5 on its corner: H_1 = Z
+TRI_CYCLE = ("--facets", "tri_cycle.txt")
 
 
 def lm_facets(n, p, seed):
@@ -512,6 +535,10 @@ PINNED_REPORTS = [
     (CONE_TETRA + ("trees", "--dim", "1"), 0, "cfa480898014e269"),
     (CONE_TETRA + ("critical-group", "--dim", "2"), 0, "e574a5456f491be8"),
     (CONE_TETRA + ("verify", "main-thm", "--dim", "2", "--trees", "3"), 0, "0a8499a4ec594601"),
+    # H_1 infinite: alternating product 1/3, |K_1| = 1, FAIL and exit 5.  This
+    # must stay a FAIL, not a hypothesis violation: bench/worker.py's
+    # check_spectra requires exit 5 whenever H_1 is infinite
+    (TRI_CYCLE + ("verify", "alt-product", "--dim", "1"), 5, "32b100b58b7397ba"),
 ]
 
 
@@ -524,6 +551,7 @@ def test_reports_are_pinned_byte_for_byte(argv, exit_code, digest, tmp_path, mon
                          ("lm14.txt", lm_facets(14, 0.3, 1)),
                          ("rp2_tetra.txt", RP2_TETRA_FACETS),
                          ("cone_tetra.txt", CONE_TETRA_FACETS),
+                         ("tri_cycle.txt", [(1, 2, 3), (3, 4), (4, 5), (3, 5)]),
                          ("tree.txt", [(1, 2), (1, 3), (1, 4), (2, 5)])):
         (tmp_path / name).write_text("".join(" ".join(map(str, f)) + "\n" for f in facets))
     code, out, _ = run_cli(capsys, *argv, "--json")

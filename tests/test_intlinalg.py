@@ -276,6 +276,15 @@ def test_determinant_against_cofactor_oracle():
         n = rng.randint(1, 5)
         a = random_matrix(rng, n, n)
         assert determinant(a) == det_cofactor(a.data)
+    # singular inputs: a zero first column leaves no pivot at the first
+    # step, and an n x (n-1) by (n-1) x n product has rank below n
+    for n in range(2, 7):
+        a = random_matrix(rng, n, n)
+        for row in a.data:
+            row[0] = 0
+        products = [random_matrix(rng, n, n - 1) * random_matrix(rng, n - 1, n) for _ in range(5)]
+        for m in [a] + products:
+            assert determinant(m) == det_cofactor(m.data) == 0
 
 
 def test_determinant_vs_snf_product():

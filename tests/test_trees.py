@@ -12,6 +12,7 @@ from simpcrit.intlinalg import column_basis, determinant, invariant_factors
 from simpcrit.trees import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    HypothesisError,
     NotAcyclicError,
     NotATreeError,
     SpanningTree,
@@ -523,6 +524,14 @@ def test_smtt_requires_apc():
     with pytest.raises(NotAcyclicError, match="1-skeleton is not acyclic"):
         verify_smtt(comp, 1)
     assert issubclass(NotAcyclicError, ValueError)
+
+
+def test_hypothesis_errors_share_one_base():
+    # the CLI maps HypothesisError to exit 3 and a spent budget to exit 4
+    for exc in (NotATreeError, TreeHasTorsionError, NotAcyclicError):
+        assert issubclass(exc, HypothesisError)
+    assert issubclass(HypothesisError, ValueError)
+    assert not issubclass(BudgetExceededError, ValueError)
 
 
 def test_smtt_sphere():
