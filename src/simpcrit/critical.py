@@ -30,9 +30,9 @@ from .generators import full_simplex
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
+    _normalize_diagonal,
     _pdet_on_basis,
     cokernel,
-    invariant_factors,
 )
 from .trees import as_spanning_tree, require_torsion_free
 
@@ -161,8 +161,7 @@ class SimplexStructureReport:
 
 
 def _direct_sum_factors(*factor_lists):
-    entries = [f for fl in factor_lists for f in fl]
-    facs = invariant_factors(IntMatrix.diagonal(entries))
+    facs = _normalize_diagonal([f for fl in factor_lists for f in fl])
     return tuple(f for f in facs if f > 1)
 
 

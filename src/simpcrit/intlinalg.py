@@ -14,8 +14,13 @@ rank(L) and one exact division.
 
 Matrices are dense.  Invariant factors, cokernels and ranks first
 eliminate +-1 pivots in a private sparse form, since the boundary maps
-and Laplacians of complexes are sparse and almost unimodular; the dense
-Smith form then runs only on what is left.
+and Laplacians of complexes are sparse and almost unimodular.  What is
+left is diagonalized with no divisibility condition, by Euclid down a
+column and along a row, and a gcd/lcm pass turns the diagonal into the
+invariant factors.  Invariant factors are unique, so this path is free
+to pick its own pivots.  The Smith form with transforms is not: its U
+and V, and so the group coordinates the flows module reads from U, are
+canonical only for its fixed min-|value| pivot rule.
 """
 
 from __future__ import annotations
@@ -209,15 +214,15 @@ def _replay(log, size, undo=False):
     return m
 
 
-def _snf_engine(a_data, m, n, row_log=None, col_log=None):
+def _snf_engine(a_data, m, n, row_log, col_log):
     """The invariant factors of the m x n a_data, which is not changed;
-    given lists, each row and column operation is logged for ``_replay``."""
+    each row and column operation is appended to ``row_log`` or
+    ``col_log`` for ``_replay``."""
     A = [row[:] for row in a_data]
 
     def swap_rows(i, k):
         A[i], A[k] = A[k], A[i]
-        if row_log is not None:
-            row_log.append((i, k, None))
+        row_log.append((i, k, None))
 
     def add_row(i, k, q):
         # row i += q * row k
@@ -225,27 +230,23 @@ def _snf_engine(a_data, m, n, row_log=None, col_log=None):
         for j in range(n):
             if Ak[j]:
                 Ai[j] += q * Ak[j]
-        if row_log is not None:
-            row_log.append((i, k, q))
+        row_log.append((i, k, q))
 
     def neg_row(i):
         A[i] = [-x for x in A[i]]
-        if row_log is not None:
-            row_log.append((i, None, -1))
+        row_log.append((i, None, -1))
 
     def swap_cols(j, k):
         for r in A:
             r[j], r[k] = r[k], r[j]
-        if col_log is not None:
-            col_log.append((j, k, None))
+        col_log.append((j, k, None))
 
     def add_col(j, k, q):
         # col j += q * col k
         for r in A:
             if r[k]:
                 r[j] += q * r[k]
-        if col_log is not None:
-            col_log.append((j, k, q))
+        col_log.append((j, k, q))
 
     t = 0
     dim = min(m, n)
@@ -376,16 +377,89 @@ def _eliminate_unit_pivots(a_data):
     return units, [[row.get(c, 0) for c in keep] for row in rows.values()]
 
 
+def _diagonalize(a_data):
+    """The diagonal, in no divisibility order, of a diagonal matrix
+    equivalent to the dense rows a_data; zeros are left out.
+
+    The smallest nonzero |entry| of the block becomes the pivot.  Euclid
+    then runs down its column with row steps, by nearest quotients, each
+    time pivoting on the smallest remainder in that column, and along its
+    row with column steps, which change that row only once the column is
+    clear.  The two alternate until both are clear; the pivot's row and
+    column then drop out and the next pivot is taken from what is left.
+    """
+    A = [row[:] for row in a_data]
+    diag = []
+    while A and A[0]:
+        m, n = len(A), len(A[0])
+        p = _select_pivot(A, 0, m, n)
+        if p is None:
+            break
+        pi, pj = p
+        A[pi], A[0] = A[0], A[pi]
+        if pj:
+            for r in A:
+                r[pj], r[0] = r[0], r[pj]
+        while True:
+            while True:  # Euclid down column 0
+                A0 = A[0]
+                if A0[0] < 0:
+                    A[0] = A0 = [-x for x in A0]
+                piv = A0[0]
+                half = piv >> 1
+                best = 0
+                for i in range(1, m):
+                    Ai = A[i]
+                    if Ai[0]:
+                        q = (Ai[0] + half) // piv
+                        if q:
+                            A[i] = Ai = [x - q * y for x, y in zip(Ai, A0)]
+                        a = abs(Ai[0])
+                        if a and (not best or a < best):
+                            best, bi = a, i
+                if not best:
+                    break
+                A[bi], A[0] = A0, A[bi]
+            best = 0
+            for j in range(1, n):  # Euclid along row 0
+                if A0[j]:
+                    A0[j] = a = A0[j] % piv
+                    if a and (not best or a < best):
+                        best, bj = a, j
+            if not best:
+                break
+            for r in A:
+                r[bj], r[0] = r[0], r[bj]
+        diag.append(piv)
+        A = [r[1:] for r in A[1:]]
+    return diag
+
+
+def _normalize_diagonal(entries):
+    """d_1 | d_2 | ... for the nonzero ones of the nonnegative ``entries``:
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b), so the group they present is
+    unchanged."""
+    ones = entries.count(1)
+    d = [e for e in entries if e > 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return (1,) * ones + tuple(d)
+
+
 def invariant_factors(a: IntMatrix) -> tuple:
     """The d_1 | d_2 | ... | d_r of the Smith form (1's included).
 
     Unit pivots are eliminated sparsely first, each adding a factor 1;
-    the dense Smith form then runs on the remainder only.  Invariant
-    factors are unique, so the pivot order never changes the result.
+    ``_diagonalize`` then runs on the dense remainder only, and
+    ``_normalize_diagonal`` turns its diagonal into a divisor chain.
+    Invariant factors are unique, so this path takes its own pivot order,
+    with no divisibility scan; ``smith_normal_form`` keeps its min-|value|
+    rule because its transforms, unlike the factors, depend on it.
     """
     units, rest = _eliminate_unit_pivots(a.data)
-    d = _snf_engine(rest, len(rest), len(rest[0]) if rest else 0)
-    return (1,) * units + tuple(d)
+    return (1,) * units + _normalize_diagonal(_diagonalize(rest))
 
 
 def eliminate(v, b, p):

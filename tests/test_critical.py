@@ -30,6 +30,7 @@ from simpcrit.intlinalg import (
     cokernel,
     column_basis,
     determinant,
+    invariant_factors,
     pseudo_determinant,
     smith_normal_form,
 )
@@ -190,6 +191,16 @@ def test_direct_route_matches_kernel_basis_oracle():
     for comp in [bipyramid(), rp2] + [linial_meshulam(*spec) for spec in LM_TORSION]:
         g = critical_group_direct(comp, 1)
         assert (g.betti, g.torsion) == critical_group_by_kernel_basis(comp, 1)
+
+
+def test_laplacian_factors_match_smith_form():
+    # the matrices K_1 is read from, L_1 and the reduced L_1 of a
+    # torsion-free tree, factored without transforms and with them
+    for spec in LM_TORSION:
+        comp = linial_meshulam(*spec)
+        tree = find_torsion_free_tree(comp, 1)
+        for a in (laplacian(comp, 1), reduced_laplacian(comp, 1, tree)):
+            assert invariant_factors(a) == smith_normal_form(a).d, spec
 
 
 RP2_FACETS = [

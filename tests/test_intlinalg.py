@@ -217,6 +217,15 @@ def sparse_matrix(rng, rows, cols, density, values):
     ])
 
 
+def mix_rows(rng, rows, steps):
+    """rows after ``steps`` random unimodular row additions."""
+    for _ in range(steps):
+        i, k = rng.sample(range(len(rows)), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + q * y for x, y in zip(rows[i], rows[k])]
+    return rows
+
+
 def test_invariant_factors_differential_sparse():
     # against the dense Smith form with transforms, which never takes the
     # sparse unit-pivot path
@@ -238,11 +247,36 @@ def test_invariant_factors_differential_sparse():
         d = smith_normal_form(a).d
         assert invariant_factors(a) == d
         assert rank(a) == len(d)
+    # U * diag(d) * V with d no divisor chain, mixed until no entry is a
+    # unit, so that all of it reaches the dense diagonalization
+    for _ in range(24):
+        m, n = rng.randint(2, 30), rng.randint(2, 30)
+        d = [rng.choice((2, 3, 4, 6, 9, 10, 15, 25, 0, 7 * 2**30)) for _ in range(min(m, n))]
+        d[0] = 6  # never the zero matrix
+        rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(m)]
+        while True:
+            rows = mix_rows(rng, rows, m + n)
+            rows = [list(c) for c in zip(*mix_rows(rng, [list(c) for c in zip(*rows)], m + n))]
+            if not any(x in (1, -1) for r in rows for x in r):
+                break
+        a = IntMatrix(m, n, rows)
+        assert invariant_factors(a) == smith_normal_form(a).d
+    # dense, with 60-bit entries
+    for _ in range(3):
+        a = random_matrix(rng, 25, 25, -2**60, 2**60)
+        assert invariant_factors(a) == smith_normal_form(a).d
     # a unit that only appears after the first elimination: 3 - 1*2 = 1
     assert invariant_factors(IntMatrix(2, 2, [[1, 2], [1, 3]])) == (1, 1)
     for shape in ((0, 5), (5, 0), (0, 0)):
         assert invariant_factors(IntMatrix(*shape)) == ()
         assert rank(IntMatrix(*shape)) == 0
+
+
+def test_invariant_factors_of_diagonals():
+    # the diagonal becomes a divisor chain by gcd and lcm; zeros drop out
+    assert invariant_factors(IntMatrix.diagonal([6, 10, 15])) == (1, 30, 30)
+    assert invariant_factors(IntMatrix.diagonal([4, 6])) == (2, 12)
+    assert invariant_factors(IntMatrix.diagonal([2**40, 3, 0])) == (1, 3 * 2**40)
 
 
 def test_invariant_factors_are_gcds_of_minors():
