@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .complexes import SimplicialComplex
 from .generators import full_simplex
@@ -31,8 +31,9 @@ from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     _normalize_diagonal,
-    _pdet_on_basis,
     cokernel,
+    column_basis,
+    invariant_factors,
 )
 from .trees import as_spanning_tree, require_torsion_free
 
@@ -242,15 +243,36 @@ def pi_product(comp: SimplicialComplex, j) -> int:
     """Product of the nonzero eigenvalues of the up-down Laplacian in
     dimension j - 1.  With the augmentation convention, pi_0 = f_0.
 
-    L = boundary_j times its transpose has the column space of
-    boundary_j, so with B a maximal independent set of boundary columns
-    (the first, in face order) pi_j = det(B^T L B) / det(B^T B): two
-    Bareiss determinants of side rank(boundary_j) and an exact division.
-    B's entries are 0 and +-1, so both Gram matrices stay small.
+    Let d = boundary_j have rank r, T the first maximal independent set
+    of its columns, C = d[:, T], and R the first maximal independent set
+    of C's rows, so that the r x r minor d_RT = C_R is invertible over Q.
+    Every column of d lies in col(C), so d = C X for one r-row X, and
+    d_R = C_R X gives X = d_RT^-1 d_R.  The nonzero eigenvalues of
+    L = d d^T = C (X X^T C^T) are those of the r x r matrix
+    (X X^T C^T) C = (X X^T)(C^T C), which has rank r, so
+
+        pi_j = det(C^T C) det(X X^T) = det(C^T C) det(L_RR) / det(d_RT)^2,
+
+    L_RR being the principal R x R block of L = d_R d_R^T.  C^T C and
+    L_RR are positive definite, so each determinant is the product of the
+    invariant factors, and that product is |det d_RT| too.  All three
+    matrices are sparse with small entries, and unit-pivot elimination
+    does most of the work.
     """
     if not 0 <= j <= comp.dim:
         raise ValueError(f"index {j} out of range [0, {comp.dim}]")
-    return _pdet_on_basis(laplacian(comp, j - 1), comp.boundary_matrix(j))
+    c, r = _column_and_row_basis(comp.boundary_matrix(j))
+    minor = prod(invariant_factors(c.submatrix(r, range(c.cols))))
+    gram = prod(invariant_factors(c.transpose() * c))
+    return gram * prod(invariant_factors(laplacian(comp, j - 1).submatrix(r, r))) // minor**2
+
+
+def _column_and_row_basis(bd):
+    """C = bd[:, T], T the first maximal independent set of bd's columns,
+    and R, the first maximal independent set of C's rows."""
+    t = [c for c, _, taken in column_basis((c, bd.column(c)) for c in range(bd.cols)) if taken]
+    c = bd.submatrix(range(bd.rows), t)
+    return c, [i for i, _, taken in column_basis(enumerate(c.data)) if taken]
 
 
 def alternating_order(comp: SimplicialComplex, i) -> Fraction:

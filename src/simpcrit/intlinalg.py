@@ -7,10 +7,14 @@ of integer maps as finitely generated abelian groups, and integer linear
 solving via the Smith transforms.
 
 A pseudo-determinant (the product of the nonzero eigenvalues of a
-symmetric matrix L) comes from a basis B of L's column space, taken from
-the columns of any F with col(F) = col(L): L maps col(B) into itself, so
-pdet(L) = det(B^T L B) / det(B^T B), two Bareiss determinants of side
-rank(L) and one exact division.
+symmetric matrix L) comes from a basis B of L's own columns: L maps
+col(B) into itself, so pdet(L) = |det(B^T L B)| / det(B^T B), two
+Bareiss determinants of side rank(L) and one exact division.  It also
+takes indefinite input.  The determinant of a positive definite matrix,
+or |det| of any nonsingular one, is the product of its invariant
+factors, which is cheaper on sparse input; the eigenvalue products of
+the critical module are built from three such products, so no library
+path but ``pseudo_determinant`` runs Bareiss.
 
 Matrices are dense.  Invariant factors, cokernels and ranks first
 eliminate +-1 pivots in a private sparse form, since the boundary maps
@@ -574,23 +578,13 @@ def char_poly(a: IntMatrix) -> list:
     return coeffs
 
 
-def _pdet_on_basis(a: IntMatrix, f: IntMatrix) -> int:
-    """Product of the nonzero eigenvalues of a symmetric a whose column
-    space is that of f, in absolute value: |det(B^T a B)| / det(B^T B),
-    B the first maximal independent set of f's columns.  a maps col(B)
-    into itself, so the division is exact."""
-    keep = [j for j, _, taken in column_basis((j, f.column(j)) for j in range(f.cols)) if taken]
-    b = f.submatrix(range(f.rows), keep)
-    bt = b.transpose()
-    return abs(determinant(bt * (a * b))) // determinant(bt * b)
-
-
 def pseudo_determinant(a: IntMatrix) -> int:
     """Product of the nonzero eigenvalues of a symmetric matrix, in absolute
     value; 1 for a zero (or 0 x 0) matrix, as an empty product.
 
-    Computed from a basis B of a's own columns as |det(B^T a B)| /
-    det(B^T B), two Bareiss determinants of side rank(a) and an exact
+    With B the first maximal independent set of a's columns, a maps
+    col(B) = col(a) into itself, so the value is |det(B^T a B)| /
+    det(B^T B): two Bareiss determinants of side rank(a) and an exact
     division; no characteristic polynomial is formed.  Asymmetric input
     is rejected: the contract assumes the matrix is a Gram matrix M * M^T,
     which guarantees positive semidefiniteness.
@@ -599,7 +593,10 @@ def pseudo_determinant(a: IntMatrix) -> int:
         raise ValueError("pseudo-determinant of a non-square matrix")
     if not a.is_symmetric():
         raise ValueError("pseudo-determinant requires a symmetric matrix")
-    return _pdet_on_basis(a, a)
+    keep = [j for j, _, taken in column_basis((j, a.column(j)) for j in range(a.cols)) if taken]
+    b = a.submatrix(range(a.rows), keep)
+    bt = b.transpose()
+    return abs(determinant(bt * (a * b))) // determinant(bt * b)
 
 
 def cokernel(a: IntMatrix) -> AbelianGroup:

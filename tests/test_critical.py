@@ -7,6 +7,7 @@ from test_acceptance import LM_TORSION, RP2_FACETS, linial_meshulam
 
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
+    _column_and_row_basis,
     alternating_order,
     critical_group_direct,
     critical_group_reduced,
@@ -379,6 +380,44 @@ def test_pi_product_without_a_tree():
     assert find_torsion_free_tree(lm, 2) is None
     assert len(basis) == required_tree_size(lm, 2) - 4
     assert pi_product(lm, 2) == pdet_by_char_poly(laplacian(lm, 1))
+
+
+def test_pi_product_divides_by_a_nonunit_minor():
+    # the square minor d_RT of d_2 is 2 on RP^2 and the coned RP^2, so
+    # the division by its square is not a division by 1
+    for facets in (RP2_FACETS, RP2_CONE_FACETS):
+        comp = SimplicialComplex.from_facets(facets)
+        c, r = _column_and_row_basis(comp.boundary_matrix(2))
+        assert len(r) == c.cols
+        assert abs(determinant(c.submatrix(r, range(c.cols)))) == 2
+        assert pi_product(comp, 2) == pdet_by_char_poly(laplacian(comp, 1))
+
+
+# 20 seeded LM(n, p, seed), n <= 14, none of them in LM_PDET
+LM_PI = [
+    (n, p, seed)
+    for n, p in ((5, 0.5), (8, 0.35), (11, 0.25), (12, 0.4), (14, 0.15))
+    for seed in (11, 12, 13, 14)
+]
+
+
+def test_pi_product_matches_two_bareiss_determinants():
+    # pseudo_determinant still takes det(B^T L B) / det(B^T B) from a
+    # column basis B of L, so it is an independent oracle for every pi_j
+    checked = 0
+    for spec in LM_PI:
+        comp = linial_meshulam(*spec)
+        assert pi_product(comp, 0) == len(comp.faces(0))  # the augmentation
+        for j in range(comp.dim + 1):
+            want = pseudo_determinant(laplacian(comp, j - 1))
+            assert pi_product(comp, j) == want, (spec, j)
+            checked += 1
+        # d_j != 0 for j <= dim, so the only rank-0 case is the zero top
+        # Laplacian, whose pi would be the empty product
+        assert pseudo_determinant(laplacian(comp, comp.dim)) == 1
+        with pytest.raises(ValueError):
+            pi_product(comp, comp.dim + 1)
+    assert checked == 60
 
 
 def test_smtt_identities_on_torsion():
