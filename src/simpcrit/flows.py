@@ -7,12 +7,14 @@ of Laplacian columns are equivalent, and the canonical coordinates of an
 equivalence class are residues modulo the invariant factors of the
 reduced Laplacian of a chosen torsion-free tree.
 
-Each of those cokernel maps costs one Smith form with transforms, paid
-lazily on first use and memoized on the complex: one per dimension for
-``equivalent``, one per (dimension, tree) each for ``to_group_element``
-and ``extend_to_conservative``.  A tree passed to either is checked
-once per complex too (``as_spanning_tree``), so every later query is a
-few matrix-vector products.
+Each cokernel map costs one Smith form with transforms, paid lazily on
+first use and memoized on the complex in one of two shapes: the rows of
+U that cut out the image (``_cokernel_rows``), once per dimension for
+``equivalent`` and once per (dimension, tree) for ``to_group_element``;
+and the Smith form itself, whose V ``extend_to_conservative`` needs, once
+per (dimension, tree).  A tree is checked once per complex too
+(``as_spanning_tree``), so every later query is a few matrix-vector
+products.  The chip game is likewise built once per (complex, bank).
 
 In dimension > 0 no canonical notion of stability is known, so firing
 there is exposed as pure linear algebra only; the stable / recurrent /
@@ -125,24 +127,19 @@ def _dot(row, values):
     return sum(a * x for a, x in zip(row, values) if a)
 
 
-def _torsion_rows(s):
-    """(j, row j of U mod d_j, d_j) for each invariant factor d_j > 1 of
-    the Smith form U * A * V = diag(d); rows with d_j = 1 test nothing."""
-    return tuple(
-        (j, tuple(x % d for x in s.u.data[j]), d) for j, d in enumerate(s.d) if d > 1
-    )
-
-
-def _laplacian_image(comp, i):
-    """(torsion rows, free rows) that cut out the image of L_i: w lies in
-    it iff (U w)_j is divisible by d_j below the rank and zero beyond it.
-    The rows beyond the rank are kept exactly."""
+def _cokernel_rows(comp, key, matrix):
+    """(d, (j, row j of U mod d_j, d_j) for each d_j > 1, the exact rows of U
+    beyond the rank) of the Smith form U * A * V = diag(d) of A = matrix(),
+    memoized on the complex under ``key``.  w lies in the image of A iff
+    (U w)_j is divisible by d_j below the rank and zero beyond it."""
 
     def build():
-        s = smith_normal_form(laplacian(comp, i))
-        return _torsion_rows(s), s.u.data[s.rank:]
+        s = smith_normal_form(matrix())
+        u = s.u.data
+        torsion = tuple((j, tuple(x % d for x in u[j]), d) for j, d in enumerate(s.d) if d > 1)
+        return s.d, torsion, u[s.rank:]
 
-    return comp._memoized(("laplacian_image", i), build)
+    return comp._memoized(key, build)
 
 
 def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
@@ -154,21 +151,10 @@ def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
     a = _check_config(comp, i, values_a)
     b = _check_config(comp, i, values_b)
     diff = [x - y for x, y in zip(a, b)]
-    torsion, free = _laplacian_image(comp, i)
+    _, torsion, free = _cokernel_rows(comp, ("laplacian_image", i), lambda: laplacian(comp, i))
     return all(_dot(row, diff) % d == 0 for _, row, d in torsion) and not any(
         _dot(row, diff) for row in free
     )
-
-
-def _group_coordinates(comp, i, tree):
-    """(moduli, torsion rows) of the tree's reduced Laplacian, or None when
-    its cokernel has a free part, so that the failure is memoized too."""
-
-    def build():
-        s = smith_normal_form(reduced_laplacian(comp, i, tree))
-        return None if s.rank < s.u.rows else (s.d, _torsion_rows(s))
-
-    return comp._memoized(("group_coordinates", i, tree.top_faces), build)
 
 
 def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
@@ -191,10 +177,10 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
         raise ValueError(
             f"expected a configuration of length {len(comp.faces(i))} or {len(theta)}"
         )
-    coords = _group_coordinates(comp, i, tree)
-    if coords is None:
+    key = ("group_coordinates", i, tree.top_faces)
+    moduli, rows, free = _cokernel_rows(comp, key, lambda: reduced_laplacian(comp, i, tree))
+    if free:
         raise HypothesisError("critical group has a free part; residues are not canonical")
-    moduli, rows = coords
     residues = [0] * len(moduli)
     for j, row, d in rows:
         residues[j] = _dot(row, values) % d
@@ -204,14 +190,28 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
 # -- graph chip-firing ------------------------------------------------------
 
 
-def _graph(comp: SimplicialComplex):
-    """(sorted vertices, neighbor map) of the 1-skeleton."""
-    if comp.dim < 1:
-        raise ValueError("chip-firing needs a complex with edges")
-    # the bank must be able to absorb from everywhere: H~_0 = 0
-    if comp.reduced_homology(0).betti:
-        raise ValueError("the 1-skeleton is disconnected")
-    return comp.vertices(), comp.neighbors()
+def _game(comp: SimplicialComplex, bank):
+    """(sorted non-bank vertices, their degrees, their non-bank neighbours'
+    positions, the bank's neighbours' positions), memoized on the complex;
+    a build that raised is not stored, so a bad bank raises every time."""
+
+    def build():
+        if comp.dim < 1:
+            raise ValueError("chip-firing needs a complex with edges")
+        # the bank must be able to absorb from everywhere: H~_0 = 0
+        if comp.reduced_homology(0).betti:
+            raise ValueError("the 1-skeleton is disconnected")
+        verts = comp.vertices()
+        if bank not in verts:
+            raise ValueError(f"bank vertex {bank} is not in the graph")
+        nbrs = comp.neighbors()
+        non_bank = tuple(v for v in verts if v != bank)
+        pos = {v: idx for idx, v in enumerate(non_bank)}
+        deg = tuple(len(nbrs[v]) for v in non_bank)
+        adj = tuple(tuple(pos[w] for w in nbrs[v] if w in pos) for v in non_bank)
+        return non_bank, deg, adj, tuple(pos[w] for w in nbrs[bank])
+
+    return comp._memoized(("chip_game", bank), build)
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,7 @@ class ChipState:
     chips: tuple
 
     def __post_init__(self):
-        verts, _ = _graph(self.complex)
-        if self.bank not in verts:
-            raise ValueError(f"bank vertex {self.bank} is not in the graph")
-        non_bank = tuple(v for v in verts if v != self.bank)
+        non_bank, _, _, _ = _game(self.complex, self.bank)
         chips = tuple(int(c) for c in self.chips)
         if len(chips) != len(non_bank):
             raise ValueError(f"expected {len(non_bank)} chip counts, got {len(chips)}")
@@ -240,8 +237,8 @@ class ChipState:
 
     @property
     def non_bank(self):
-        verts, _ = _graph(self.complex)
-        return tuple(v for v in verts if v != self.bank)
+        non_bank, _, _, _ = _game(self.complex, self.bank)
+        return non_bank
 
     def __add__(self, other):
         if not isinstance(other, ChipState):
@@ -252,8 +249,8 @@ class ChipState:
 
 
 def is_stable(state: ChipState) -> bool:
-    _, nbrs = _graph(state.complex)
-    return all(c < len(nbrs[v]) for v, c in zip(state.non_bank, state.chips))
+    _, deg, _, _ = _game(state.complex, state.bank)
+    return all(c < d for c, d in zip(state.chips, deg))
 
 
 def stabilize(state: ChipState):
@@ -267,11 +264,7 @@ def stabilize(state: ChipState):
     O(deg) Python steps per batch, at most one batch per firing.
     Returns (stable state, per-vertex firing counts in non-bank order).
     """
-    _, nbrs = _graph(state.complex)
-    non_bank = state.non_bank
-    pos = {v: idx for idx, v in enumerate(non_bank)}
-    deg = [len(nbrs[v]) for v in non_bank]
-    adj = [[pos[w] for w in nbrs[v] if w in pos] for v in non_bank]
+    non_bank, deg, adj, _ = _game(state.complex, state.bank)
     chips = list(state.chips)
     counts = [0] * len(non_bank)
     # a vertex is on the list iff it is ready, so it is never on it twice
@@ -290,22 +283,23 @@ def stabilize(state: ChipState):
 
 def fire_bank(state: ChipState) -> ChipState:
     """The bank gives one chip to each of its neighbors."""
-    _, nbrs = _graph(state.complex)
-    pos = {v: idx for idx, v in enumerate(state.non_bank)}
+    _, _, _, bank_adj = _game(state.complex, state.bank)
     chips = list(state.chips)
-    for w in nbrs[state.bank]:
-        chips[pos[w]] += 1
+    for idx in bank_adj:
+        chips[idx] += 1
     return ChipState(state.complex, state.bank, tuple(chips))
 
 
 def is_recurrent(state: ChipState) -> bool:
     """Burning test: fire the bank into the stable state and stabilize;
-    recurrent iff every non-bank vertex fires exactly once and the state
-    returns to itself."""
+    recurrent iff the state returns to itself.  Every non-bank vertex then
+    fired exactly once: the bank adds beta = L~ * 1 (L~ the reduced
+    Laplacian), so the firing counts u solve L~ * u = L~ * 1, and L~ is
+    nonsingular on a connected graph."""
     if not is_stable(state):
         raise ValueError("recurrence is decided on stable states")
-    final, fired = stabilize(fire_bank(state))
-    return final.chips == state.chips and all(n == 1 for n in fired.values())
+    final, _ = stabilize(fire_bank(state))
+    return final.chips == state.chips
 
 
 def is_critical(state: ChipState) -> bool:
@@ -314,16 +308,19 @@ def is_critical(state: ChipState) -> bool:
 
 
 def critical_representative(state: ChipState) -> ChipState:
-    """The unique critical state reachable from the input.
+    """The unique critical state reachable from the input: the first fixed
+    point stab(s + beta) == s of (stabilize; fire bank), which is recurrent.
 
-    Repeats (stabilize; fire bank) until a stable state recurs; every
-    step preserves the equivalence class, and the recurring state is
-    critical.
+    Each step keeps the class, and the stable states are finite, so the
+    steps cycle, and every cycle is a fixed point.  Firing each vertex once
+    takes s + beta to the stable s, so by least action (Fey-Levine-Peres
+    2010) stab(s + beta) fires each vertex at most once; around a cycle of
+    length m the firing counts sum to m * 1, so every step fired each
+    vertex once and left its state unchanged.
     """
     s, _ = stabilize(state)
-    seen = {s.chips}
     while True:
-        s, _ = stabilize(fire_bank(s))
-        if s.chips in seen:
+        nxt, _ = stabilize(fire_bank(s))
+        if nxt.chips == s.chips:
             return s
-        seen.add(s.chips)
+        s = nxt

@@ -266,11 +266,9 @@ def test_criterion_8_flow_and_chip_properties():
         assert both == tuple(x + y for x, y in zip(c1, c2))
 
     # stabilization is firing-order independent, 100 scrambles
-    from simpcrit.flows import _graph
-
     scrambles = 0
     for comp in (cycle(5), complete_graph(4), cycle(6)):
-        verts, nbrs = _graph(comp)
+        verts, nbrs = comp.vertices(), comp.neighbors()
         bank = verts[-1]
         non_bank = tuple(v for v in verts if v != bank)
         for _ in range(34):

@@ -82,7 +82,8 @@ RP2_TETRA_FACETS = RP2_FACETS + [(5, 6, 7, 8)]
 # RP^2 coned from 7 plus a disjoint solid tetrahedron: not APC, but 2-trees exist
 CONE_TETRA_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7), (20, 21, 22, 23)]
 
-# (argv, the one stderr line); run in a directory holding bad.txt
+# (argv, the one stderr line); run in a directory holding bad.txt and
+# two_edges.txt
 INPUT_ERRORS = [
     (("--gen", "bipyramid", "--facets", "x.txt", "info"),
      "give either --gen or --facets, not both"),
@@ -102,6 +103,9 @@ INPUT_ERRORS = [
      "--config must be a list of integers, got '1,x'"),
     (C5 + ("chip", "stabilize", "--bank", "9", "--chips", "1,0,0,0"),
      "bank vertex 9 is not in the graph"),
+    (C5 + ("chip", "group-law", "--bank", "9"), "bank vertex 9 is not in the graph"),
+    (("--facets", "two_edges.txt", "chip", "stabilize", "--bank", "1", "--chips", "0,0,0"),
+     "the 1-skeleton is disconnected"),
     (C5 + ("chip", "stabilize", "--bank", "5", "--chips", "1,0,0"),
      "expected 4 chip counts, got 3"),
     (C5 + ("chip", "stabilize", "--bank", "5", "--chips", "1,-1,0,0"),
@@ -131,6 +135,7 @@ INPUT_ERRORS = [
 def test_input_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("1 two 3\n")
+    (tmp_path / "two_edges.txt").write_text("1 2\n3 4\n")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

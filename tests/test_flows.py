@@ -8,11 +8,16 @@ from test_critical import LM_PDET
 
 from simpcrit import intlinalg
 from simpcrit.complexes import SimplicialComplex
-from simpcrit.critical import _theta_indices, laplacian, reduced_laplacian
+from simpcrit.critical import (
+    _theta_indices,
+    critical_group_direct,
+    critical_group_reduced,
+    laplacian,
+    reduced_laplacian,
+)
 from simpcrit.flows import (
     ChipState,
     GroupElement,
-    _graph,
     critical_representative,
     equivalent,
     extend_to_conservative,
@@ -26,8 +31,13 @@ from simpcrit.flows import (
     to_group_element,
 )
 from simpcrit.generators import bipyramid, complete_graph, cycle, sphere
-from simpcrit.intlinalg import lattice_membership, smith_normal_form
-from simpcrit.trees import TreeHasTorsionError, find_torsion_free_tree, is_spanning_tree
+from simpcrit.intlinalg import AbelianGroup, lattice_membership, smith_normal_form
+from simpcrit.trees import (
+    TreeHasTorsionError,
+    enumerate_trees,
+    find_torsion_free_tree,
+    is_spanning_tree,
+)
 
 STAR_TREE = [(1, 2), (1, 3), (1, 4), (1, 5)]
 PATH_TREE = [(1, 2), (2, 3), (3, 4), (3, 5)]
@@ -221,9 +231,7 @@ def test_same_element_iff_equivalent_on_theta_vectors():
 def brute_force_recurrent(state):
     """Search the firing-sequence graph for a nontrivial loop back to the
     start; the bank fires only at stable states (game rules)."""
-    from simpcrit.flows import _graph
-
-    _, nbrs = _graph(state.complex)
+    nbrs = state.complex.neighbors()
     start = state.chips
     seen = set()
     stack = [start]
@@ -296,10 +304,8 @@ def test_stabilize_is_order_independent():
     rng = random.Random(21)
     graphs = [cycle(5), complete_graph(4), cycle(6),
               SimplicialComplex.from_facets([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])]
-    from simpcrit.flows import _graph
-
     for comp in graphs:
-        verts, nbrs = _graph(comp)
+        verts, nbrs = comp.vertices(), comp.neighbors()
         bank = verts[-1]
         non_bank = tuple(v for v in verts if v != bank)
         for _ in range(25):
@@ -419,7 +425,7 @@ def test_bank_fire_adds_to_neighbors():
 def stabilize_lowest_label(state):
     """Test oracle: fire the lowest-labelled ready vertex once, then rescan
     from the first vertex, until none is ready."""
-    _, nbrs = _graph(state.complex)
+    nbrs = state.complex.neighbors()
     non_bank = state.non_bank
     pos = {v: idx for idx, v in enumerate(non_bank)}
     chips = list(state.chips)
@@ -457,11 +463,88 @@ def test_stabilize_a_million_chips():
     k12 = complete_graph(12)
     start = (10**6,) + (0,) * 10
     final, fired = stabilize(ChipState(k12, 12, start))
-    _, nbrs = _graph(k12)
+    nbrs = k12.neighbors()
     for v, c0, c1 in zip(final.non_bank, start, final.chips):
         moved = len(nbrs[v]) * fired[v] - sum(fired.get(w, 0) for w in nbrs[v])
         assert c0 - moved == c1
     assert is_stable(final)
+
+
+def test_chip_game_is_built_once_per_bank(monkeypatch):
+    calls = []
+    original = SimplicialComplex.neighbors
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(SimplicialComplex, "neighbors", counting)
+    comp = SimplicialComplex.from_facets(combinations(range(1, 7), 2))
+    rng = random.Random(76)
+    for _ in range(30):
+        final, _ = stabilize(ChipState(comp, 6, tuple(rng.randint(0, 9) for _ in range(5))))
+        assert is_stable(final) and final.non_bank == (1, 2, 3, 4, 5)
+        assert fire_bank(final).chips == tuple(c + 1 for c in final.chips)
+    assert len(calls) == 1
+    # a build that raised is not stored, so a bad bank raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bank vertex 9 is not in the graph"):
+            ChipState(comp, 9, (0,) * 5)
+
+
+def test_bank_fixed_points_fire_every_vertex_once():
+    """Wherever stab(s + beta) == s for a stable s, every non-bank vertex
+    fired exactly once; and critical_representative, which stops at the
+    first such fixed point, agrees with the first repeat of the orbit."""
+    rng = random.Random(20261019)
+    fixed = moved = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        edges = {(v, v + 1) for v in range(1, n)}  # a spanning path keeps it connected
+        edges |= {e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.4}
+        comp = SimplicialComplex.from_facets(sorted(edges))
+        # few chips, so that most orbits fire the bank before they settle
+        state = ChipState(comp, rng.randint(1, n), tuple(rng.randint(0, 2) for _ in range(n - 1)))
+        s, _ = stabilize(state)
+        seen = set()
+        while s.chips not in seen:
+            seen.add(s.chips)
+            nxt, fired = stabilize(fire_bank(s))
+            if nxt.chips == s.chips:
+                fixed += 1
+                assert set(fired.values()) == {1} and is_recurrent(s)
+            s = nxt
+        moved += len(seen) > 1
+        assert critical_representative(state).chips == s.chips
+    assert fixed == 200 and moved > 100
+
+
+def moore_facets(m):
+    """M(m), the mapping cone of a degree-m map onto the 3-cycle 1 2 3:
+    ring vertices 4 .. 3m + 3 and centre 3m + 4, H~_1 = Z/m, H~_2 = 0."""
+    n = 3 * m
+    return [f for k in range(n) for f in (
+        (1 + k % 3, 1 + (k + 1) % 3, 4 + k),
+        (1 + (k + 1) % 3, 4 + k, 4 + (k + 1) % n),
+        (4 + k, 4 + (k + 1) % n, n + 4))]
+
+
+def test_moore_spaces_carry_torsion_in_homology():
+    rng = random.Random(77)
+    for m in range(2, 8):
+        comp = SimplicialComplex.from_facets(moore_facets(m))
+        assert comp.f_vector() == (1, 3 * m + 4, 12 * m + 3, 9 * m)
+        assert comp.reduced_homology(1) == AbelianGroup(0, (m,))
+        assert comp.reduced_homology(2) == AbelianGroup(0, ())
+        tree = find_torsion_free_tree(comp, 1)
+        k1 = AbelianGroup(0, (m, m))
+        assert critical_group_direct(comp, 1) == k1 == critical_group_reduced(comp, 1, tree)
+        census = enumerate_trees(comp, 2)
+        assert (census.count, census.tau, census.torsion_histogram, census.complete) == (
+            1, m * m, {m: 1}, True)
+        if m in (3, 5):
+            check_equivalent(comp, 1, rng, 3)
+            check_tree_maps(comp, 1, tree, rng, 4)
 
 
 # ---- prepared cokernel maps against the per-call Smith forms -------------------------
