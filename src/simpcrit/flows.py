@@ -19,12 +19,19 @@ products.  The chip game is likewise built once per (complex, bank).
 In dimension > 0 no canonical notion of stability is known, so firing
 there is exposed as pure linear algebra only; the stable / recurrent /
 critical machinery below is for graphs (dimension-0 configurations with
-a designated bank vertex).
+a designated bank vertex).  ``stabilize`` runs a worklist of ready
+vertices; in a long run it also fires, at once, a lower bound on the
+firing counts still to come that a float solve of the reduced Laplacian
+proposes and exact integer arithmetic certifies, so piles of any size
+and long cycles settle in a few solves.  The certificate it needs, an
+integer g with L~ g >= 1, is built once per (complex, bank) as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 from .complexes import SimplicialComplex, make_face
 from .critical import _theta_indices, laplacian, reduced_laplacian
@@ -253,6 +260,87 @@ def is_stable(state: ChipState) -> bool:
     return all(c < d for c, d in zip(state.chips, deg))
 
 
+_SCALE_BITS = 40  # bulk-step solutions are fixed point with this many fraction bits
+
+
+def _apply_laplacian(deg, adj, x):
+    """L~ * x for the reduced Laplacian L~ = diag(deg) - (non-bank adjacency)."""
+    out = []
+    for d, xi, a in zip(deg, x, adj):
+        s = d * xi
+        for j in a:  # a plain loop: a generator per vertex costs twice as much
+            s -= x[j]
+        out.append(s)
+    return out
+
+
+def _solve_float(deg, adj, b):
+    """An approximate solution of L~ y = b in floats by conjugate gradients
+    (L~ is symmetric positive definite on a connected graph with a bank);
+    only a proposal, which callers certify in integers."""
+    y = [0.0] * len(b)
+    r = [float(x) for x in b]
+    p = list(r)
+    rr = sum(map(mul, r, r))
+    # stop at a relative residual of 2^-40, or after n steps
+    tol = rr * 2.0**-80
+    for _ in range(len(b)):
+        if rr <= tol:
+            break
+        q = _apply_laplacian(deg, adj, p)
+        alpha = rr / sum(map(mul, p, q))
+        y = [yi + alpha * pi for yi, pi in zip(y, p)]
+        r = [ri - alpha * qi for ri, qi in zip(r, q)]
+        rr, old = sum(map(mul, r, r)), rr
+        p = [ri + rr / old * pi for ri, pi in zip(r, p)]
+    return y
+
+
+def _build_certificate(deg, adj):
+    """(g, z): an integer g with L~ g >= 1 entrywise, checked exactly, and
+    the float z ~ L~^-1 * 1 it came from; None if g fails its check.
+    L~ g >= 1 and L~^-1 >= 0 give g >= L~^-1 * 1."""
+    z = _solve_float(deg, adj, [1] * len(deg))
+    # rounding up perturbs each entry of L~ g by more than -deg, so scale
+    # z by max(deg) + 2 to keep L~ g >= 1 through the float error
+    lift = max(deg) + 2
+    g = [math.ceil(lift * x) for x in z]
+    return (g, z) if min(_apply_laplacian(deg, adj, g)) >= 1 else None
+
+
+def _certificate(comp, bank):
+    """``_build_certificate`` for the game, memoized per (complex, bank)."""
+    _, deg, adj, _ = _game(comp, bank)
+    return comp._memoized(("chip_certificate", bank), lambda: _build_certificate(deg, adj))
+
+
+def _odometer_lower_bound(deg, adj, certificate, chips):
+    """A nonnegative integer vector below the odometer of ``chips``, or None
+    if the step would not pay for its float solve or certifies nothing.
+
+    A float solve proposes y ~ L~^-1 b for b = chips - deg + 1, scaled by
+    2^40 and rounded to the integer y_S; the exact residual
+    r = 2^40 b - L~ y_S has r >= -rho with rho = max(0, -min r), so
+    2^40 L~^-1 b = y_S + L~^-1 r >= y_S - rho * g.
+    """
+    g, z = certificate
+    b = [c - d + 1 for c, d in zip(chips, deg)]
+    # keep the top 60 bits of each entry, so that huge piles convert to floats
+    shift = max(0, max(map(abs, b)).bit_length() - 60)
+    b_top = [x >> shift for x in b] if shift else b
+    # z . b is the sum of L~^-1 b (L~ is symmetric), about what the step
+    # fires; each worklist step fires at least once and a solve costs about
+    # n^2 of them, so a smaller bound does not pay for its solve
+    if sum(map(mul, z, b_top)) < len(b) ** 2 >> shift:
+        return None
+    y = _solve_float(deg, adj, b_top)
+    y_s = [round(x * 2**_SCALE_BITS) << shift for x in y]
+    r = _apply_laplacian(deg, adj, y_s)
+    rho = max(0, max(ly - (x << _SCALE_BITS) for ly, x in zip(r, b)))
+    bulk = [max(0, -((rho * gi - yi) >> _SCALE_BITS)) for yi, gi in zip(y_s, g)]
+    return bulk if any(bulk) else None
+
+
 def stabilize(state: ChipState):
     """Fire ready non-bank vertices until none can fire.
 
@@ -260,24 +348,64 @@ def stabilize(state: ChipState):
     deg fires c // deg times in one step, and a neighbour joins the list
     when those chips make it ready.  The final state and the firing counts
     do not depend on the order of the firings (the abelian property,
-    Bjorner-Lovasz-Shor 1991), so batching changes neither.  The cost is
-    O(deg) Python steps per batch, at most one batch per firing.
+    Bjorner-Lovasz-Shor 1991), so batching changes neither.
+
+    After every n^2 worklist steps (n non-bank vertices; about the cost of
+    one float solve of n conjugate-gradient steps), a bulk step fires a
+    certified lower bound v on the odometer still to come at once
+    (``_odometer_lower_bound``) and rebuilds the list.  A step that fires
+    nothing, or whose bound is too small to pay for its solve, doubles
+    the number of worklist steps to the next one, and a graph whose
+    certificate fails its exact check never takes one.  So a call that
+    settles within n^2 steps runs the worklist alone, and a longer one
+    pays for each float solve with at least as much worklist work.
+
+    Why the output does not change.  Let u be the odometer of the start s
+    (its firing counts) and f = s - L~ u the stable result, so
+    0 <= f <= deg - 1 (L~ the reduced Laplacian).  Least action
+    (Fey-Levine-Peres 2010) holds for any integer start c: if c - L~ w is
+    stable, no legal firing sequence from c fires a vertex more than w
+    times.  Suppose the firings so far, F, satisfy F <= u, and let
+    c = s - L~ F.  Then u - F = L~^-1 (c - f) >= L~^-1 (c - deg + 1),
+    because L~^-1 >= 0 entrywise on a connected graph with a bank; v is
+    0 or more and at most the ceiling of the right-hand side, and u - F
+    is an integer vector, so F + v <= u.  Worklist firings are legal from
+    c, and c - L~ (u - F) = f is stable, so they keep F <= u too.  Each
+    worklist step and each bulk step taken fires at least once, so the
+    loop ends, with s - L~ F stable; least action from s then gives
+    u <= F.  So F = u and the result is f, however negative some piles
+    went on the way.  Floats only propose; every count fired is
+    certified in integer arithmetic.
+
     Returns (stable state, per-vertex firing counts in non-bank order).
     """
     non_bank, deg, adj, _ = _game(state.complex, state.bank)
     chips = list(state.chips)
     counts = [0] * len(non_bank)
+    budget = len(deg) ** 2
     # a vertex is on the list iff it is ready, so it is never on it twice
     ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
     while ready:
-        idx = ready.pop()
-        k, chips[idx] = divmod(chips[idx], deg[idx])
-        counts[idx] += k
-        for w in adj[idx]:
-            c = chips[w]
-            chips[w] = c + k
-            if c < deg[w] <= c + k:
-                ready.append(w)
+        for _ in range(budget):
+            idx = ready.pop()
+            k, chips[idx] = divmod(chips[idx], deg[idx])
+            counts[idx] += k
+            for w in adj[idx]:
+                c = chips[w]
+                chips[w] = c + k
+                if c < deg[w] <= c + k:
+                    ready.append(w)
+            if not ready:
+                break
+        else:
+            certificate = _certificate(state.complex, state.bank)
+            bulk = certificate and _odometer_lower_bound(deg, adj, certificate, chips)
+            if not bulk:
+                budget *= 2
+                continue
+            chips = [c - x for c, x in zip(chips, _apply_laplacian(deg, adj, bulk))]
+            counts = [n + x for n, x in zip(counts, bulk)]
+            ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
     return ChipState(state.complex, state.bank, tuple(chips)), dict(zip(non_bank, counts))
 
 

@@ -1,12 +1,13 @@
 import random
 import sys
+import time
 from itertools import combinations, product
 
 import pytest
 from test_acceptance import RP2_FACETS, linial_meshulam
 from test_critical import LM_PDET
 
-from simpcrit import intlinalg
+from simpcrit import flows, intlinalg
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
     _theta_indices,
@@ -470,6 +471,110 @@ def test_stabilize_a_million_chips():
     assert is_stable(final)
 
 
+def reduced_laplacian_times(state, fired):
+    """L~ * fired over the non-bank vertices, from the neighbour lists."""
+    nbrs = state.complex.neighbors()
+    return [len(nbrs[v]) * fired[v] - sum(fired.get(w, 0) for w in nbrs[v])
+            for v in state.non_bank]
+
+
+def test_stabilize_huge_piles():
+    for comp in (complete_graph(12), cycle(12)):
+        for pile in (10**20, 10**400):
+            start = (pile,) + (0,) * 10
+            state = ChipState(comp, 12, start)
+            clock = time.process_time()
+            final, fired = stabilize(state)
+            assert time.process_time() - clock < 1.0
+            moved = reduced_laplacian_times(state, fired)
+            assert final.chips == tuple(c - m for c, m in zip(start, moved))
+            assert is_stable(final) and min(final.chips) >= 0
+
+
+def stabilize_worklist(state):
+    """Test oracle: the worklist loop alone, with no bulk steps, verbatim."""
+    non_bank, deg, adj, _ = flows._game(state.complex, state.bank)
+    chips = list(state.chips)
+    counts = [0] * len(non_bank)
+    # a vertex is on the list iff it is ready, so it is never on it twice
+    ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
+    while ready:
+        idx = ready.pop()
+        k, chips[idx] = divmod(chips[idx], deg[idx])
+        counts[idx] += k
+        for w in adj[idx]:
+            c = chips[w]
+            chips[w] = c + k
+            if c < deg[w] <= c + k:
+                ready.append(w)
+    return ChipState(state.complex, state.bank, tuple(chips)), dict(zip(non_bank, counts))
+
+
+def grid_graph(rows, cols):
+    def label(i, j):
+        return i * cols + j + 1
+    return SimplicialComplex.from_facets(
+        [(label(i, j), label(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+        + [(label(i, j), label(i + 1, j)) for i in range(rows - 1) for j in range(cols)])
+
+
+def bulk_step_graphs():
+    """Seeded cycles, paths, grids and sparse connected graphs, each with a
+    random bank, on which the worklist needs many steps."""
+    rng = random.Random(20261019)
+    graphs = []
+    for n in (20, 35, 50, 80):
+        graphs.append(cycle(n))
+        graphs.append(SimplicialComplex.from_facets([(v, v + 1) for v in range(1, n)]))
+    for side in range(6, 11):
+        graphs.append(grid_graph(side, side + rng.randint(0, 1)))
+    for _ in range(6):
+        n = rng.randint(20, 60)
+        # a random tree plus a few chords
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        edges |= {tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(n // 4)}
+        graphs.append(SimplicialComplex.from_facets(sorted(edges)))
+    return [(comp, rng.choice(comp.vertices()), rng) for comp in graphs]
+
+
+def test_bulk_step_matches_worklist(monkeypatch):
+    took = []
+    bound = flows._odometer_lower_bound
+
+    def spy(*args):
+        bulk = bound(*args)
+        took.append(bulk is not None)
+        return bulk
+
+    monkeypatch.setattr(flows, "_odometer_lower_bound", spy)
+    stepped = 0
+    cases = bulk_step_graphs()
+    for comp, bank, rng in cases:
+        _, deg, _, _ = flows._game(comp, bank)
+        state = ChipState(comp, bank, tuple(rng.randint(0, 4 * d) for d in deg))
+        took.clear()
+        final, fired = stabilize(state)
+        want, want_fired = stabilize_worklist(state)
+        assert (final.chips, list(fired.items())) == (want.chips, list(want_fired.items()))
+        stepped += any(took)
+    assert 2 * stepped > len(cases), (stepped, len(cases))
+
+
+def test_chip_certificate_is_exact():
+    """The memoized g satisfies L~ g >= 1 in exact integers, on every graph
+    family the bulk step is tested on and on complete graphs."""
+    cases = [(comp, bank) for comp, bank, _ in bulk_step_graphs()]
+    cases += [(complete_graph(n), n) for n in (3, 12, 30)]
+    for comp, bank in cases:
+        state = ChipState(comp, bank, (0,) * (len(comp.vertices()) - 1))
+        certificate = flows._certificate(comp, bank)
+        assert certificate is not None
+        g, _ = certificate
+        assert all(type(x) is int for x in g)
+        assert min(reduced_laplacian_times(state, dict(zip(state.non_bank, g)))) >= 1
+        assert flows._certificate(comp, bank) is certificate
+
+
 def test_chip_game_is_built_once_per_bank(monkeypatch):
     calls = []
     original = SimplicialComplex.neighbors
@@ -478,14 +583,28 @@ def test_chip_game_is_built_once_per_bank(monkeypatch):
         calls.append(self)
         return original(self)
 
+    builds = []
+    build = flows._build_certificate
+
+    def counting_build(deg, adj):
+        builds.append(len(deg))
+        return build(deg, adj)
+
     monkeypatch.setattr(SimplicialComplex, "neighbors", counting)
+    monkeypatch.setattr(flows, "_build_certificate", counting_build)
     comp = SimplicialComplex.from_facets(combinations(range(1, 7), 2))
     rng = random.Random(76)
     for _ in range(30):
         final, _ = stabilize(ChipState(comp, 6, tuple(rng.randint(0, 9) for _ in range(5))))
         assert is_stable(final) and final.non_bank == (1, 2, 3, 4, 5)
         assert fire_bank(final).chips == tuple(c + 1 for c in final.chips)
-    assert len(calls) == 1
+        # a pile this large takes bulk steps, which need the certificate
+        final, _ = stabilize(ChipState(comp, 6, (rng.randint(10**6, 10**7), 0, 0, 0, 0)))
+        assert is_stable(final)
+    assert len(calls) == 1 and builds == [5]
+    for _ in range(3):
+        stabilize(ChipState(comp, 1, (0, 0, 0, 0, 10**6)))
+    assert len(calls) == 2 and builds == [5, 5]
     # a build that raised is not stored, so a bad bank raises on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="bank vertex 9 is not in the graph"):
