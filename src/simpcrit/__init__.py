@@ -16,6 +16,7 @@ from .critical import (
     pi_product,
     reduced_laplacian,
     verify_simplex_structure,
+    verify_smtt,
 )
 from .flows import (
     ChipState,
@@ -65,7 +66,6 @@ from .trees import (
     find_torsion_free_tree,
     is_spanning_tree,
     required_tree_size,
-    verify_smtt,
 )
 
 __version__ = "0.1.0"

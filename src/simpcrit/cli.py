@@ -37,6 +37,7 @@ from .critical import (
     critical_group_direct,
     critical_group_reduced,
     verify_simplex_structure,
+    verify_smtt,
 )
 from .flows import (
     ChipState,
@@ -57,7 +58,6 @@ from .trees import (
     as_spanning_tree,
     enumerate_trees,
     find_torsion_free_tree,
-    verify_smtt,
 )
 
 EXIT_OK = 0

@@ -15,8 +15,9 @@ Two independent routes to the same group:
 
 The module also builds the skew-style stacked matrix of reduced
 boundary/coboundary maps for skeleta of simplices and verifies its
-cokernel identities, plus the eigenvalue products pi_j and their
-alternating quotient.
+cokernel identities, computes the eigenvalue products pi_j and their
+alternating quotient, and checks both identities of the simplicial
+matrix-tree theorem against the tree census.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .complexes import SimplicialComplex
-from .generators import full_simplex
+from .generators import simplex_skeleton
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -35,7 +36,14 @@ from .intlinalg import (
     column_basis,
     invariant_factors,
 )
-from .trees import as_spanning_tree, require_torsion_free
+from .trees import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    NotAcyclicError,
+    as_spanning_tree,
+    enumerate_trees,
+    require_torsion_free,
+)
 
 
 def laplacian(comp: SimplicialComplex, i) -> IntMatrix:
@@ -114,16 +122,26 @@ def maxwell_matrix(n, k) -> IntMatrix:
     vertex 1 kept.  The result is square of side C(n-1,k) + C(n-1,k+1)
     and its cokernel is (Z/n)^C(n-2,k).
     """
+    return _skeleton_and_maxwell(n, k)[1]
+
+
+def _skeleton_and_maxwell(n, k):
+    """The (k+1)-skeleton of the n-vertex simplex and its stacked matrix.
+
+    Every simplex check reads faces of dimension k-1 to k+1 only, so the
+    skeleton gives the same matrices as the whole simplex without its
+    2^n faces; k is checked before anything is built.
+    """
     if not 1 <= k <= n - 2:
         raise ValueError("need 1 <= k <= n - 2")
-    comp = full_simplex(n)
+    comp = simplex_skeleton(n, k + 1)
     bd_k = comp.boundary_matrix(k)
     keep_low = [r for r, f in enumerate(comp.faces(k - 1)) if 1 not in f]
     top = [bd_k.data[r][:] for r in keep_low]
     cb = comp.boundary_matrix(k + 1).transpose()
     keep_high = [r for r, f in enumerate(comp.faces(k + 1)) if 1 in f]
     bottom = [[-x for x in cb.data[r]] for r in keep_high]
-    return IntMatrix(len(top) + len(bottom), bd_k.cols, top + bottom)
+    return comp, IntMatrix(len(top) + len(bottom), bd_k.cols, top + bottom)
 
 
 @dataclass(frozen=True)
@@ -174,8 +192,7 @@ def verify_simplex_structure(n, k) -> SimplexStructureReport:
     the critical groups K_{k-1} and K_k against their predicted exponents,
     and which direct sum matches coker(A*A^T).
     """
-    comp = full_simplex(n)
-    a = maxwell_matrix(n, k)
+    comp, a = _skeleton_and_maxwell(n, k)
     aat = a * a.transpose()
 
     # block structure: top-left is the up-down Laplacian at k-1 reduced by
@@ -289,3 +306,89 @@ def alternating_order(comp: SimplicialComplex, i) -> Fraction:
     for j in range(i + 2):
         out *= Fraction(pi_product(comp, j)) ** ((-1) ** (i + 1 - j))
     return out
+
+
+# -- the simplicial matrix-tree theorem -----------------------------------
+
+
+@dataclass(frozen=True)
+class SmttReport:
+    """Both matrix-tree identities evaluated exactly on one complex.
+
+    ``tree_faces`` records which (i-1)-tree was used in the determinant
+    formula; the theorem allows any, so the report keeps the choice
+    reproducible.
+    """
+
+    dimension: int
+    pi: int
+    tau: int
+    tau_prev: int
+    homology_order: int
+    tree_faces: tuple
+    tree_torsion: int
+    det_reduced: int
+    eigenvalue_identity_ok: bool
+    determinant_identity_ok: bool
+    warnings: tuple = ()
+
+    @property
+    def ok(self):
+        return self.eigenvalue_identity_ok and self.determinant_identity_ok
+
+
+def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttReport:
+    """Check pi_i = tau_i * tau_{i-1} / |H_{i-2}|^2 and the determinant
+    form of tau_i, all in exact integer arithmetic (cross-multiplied).
+
+    The theorem needs the i-skeleton to be acyclic in positive
+    codimension: otherwise NotAcyclicError.  That makes H_{i-2} finite
+    and gives (i-1)-trees.
+    A partial census makes the identities undefined: BudgetExceededError.
+    The (i-1)-tree for the determinant is the first torsion-free leaf of
+    the (i-1)-census, else its first leaf, so no second search runs; the
+    tree is then checked once, by ``reduced_laplacian``.
+    """
+    if not 1 <= i <= comp.dim:
+        raise ValueError(f"dimension {i} out of range [1, {comp.dim}]")
+    if not comp.is_apc(i):
+        raise NotAcyclicError(
+            f"the {i}-skeleton is not acyclic in positive codimension: "
+            "the matrix-tree identities do not apply"
+        )
+    first = {}  # torsion-free or not -> the first such leaf
+
+    def keep(t):
+        first.setdefault(t.torsion_order == 1, t)
+
+    census = enumerate_trees(comp, i, budget=budget)
+    census_prev = enumerate_trees(comp, i - 1, budget=budget, on_tree=keep)
+    for c in (census, census_prev):
+        if not c.complete:
+            raise BudgetExceededError(f"{c.dimension}-tree " + "; ".join(c.warnings))
+    h_order = comp.reduced_homology(i - 2).order
+
+    pi = pi_product(comp, i)
+    eig_ok = pi * h_order * h_order == census.tau * census_prev.tau
+
+    tree = first.get(True) or first[False]
+    # a principal block of the PSD Laplacian: det >= 0, and 0 iff singular
+    red = reduced_laplacian(comp, i - 1, tree)
+    facs = invariant_factors(red)
+    det = prod(facs) if len(facs) == red.rows else 0
+    t2 = tree.torsion_order * tree.torsion_order
+    det_ok = census.tau * t2 == h_order * h_order * det
+
+    return SmttReport(
+        dimension=i,
+        pi=pi,
+        tau=census.tau,
+        tau_prev=census_prev.tau,
+        homology_order=h_order,
+        tree_faces=tree.top_faces,
+        tree_torsion=tree.torsion_order,
+        det_reduced=det,
+        eigenvalue_identity_ok=eig_ok,
+        determinant_identity_ok=det_ok,
+        warnings=census.warnings + census_prev.warnings,
+    )

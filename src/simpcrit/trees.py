@@ -2,8 +2,8 @@
 
 Recognition, one lexicographic depth-first search with rank-based
 pruning (the exhaustive census, and the first torsion-free tree at its
-first such leaf), torsion-weighted counts tau_i, and verification of the
-matrix-tree identities.
+first such leaf), and torsion-weighted counts tau_i.  The matrix-tree
+identities that tie tau_i to the Laplacians are checked in ``critical``.
 
 An i-dimensional spanning tree of a complex is determined by its set of
 i-faces (it always contains the full (i-1)-skeleton): the boundary
@@ -360,88 +360,3 @@ def _search(comp, i, budget, on_tree, descend=False):
         census.complete = False
         census.warnings += ("enumeration stopped early by the stream callback",)
     return census
-
-
-@dataclass(frozen=True)
-class SmttReport:
-    """Both matrix-tree identities evaluated exactly on one complex.
-
-    ``tree_faces`` records which (i-1)-tree was used in the determinant
-    formula; the theorem allows any, so the report keeps the choice
-    reproducible.
-    """
-
-    dimension: int
-    pi: int
-    tau: int
-    tau_prev: int
-    homology_order: int
-    tree_faces: tuple
-    tree_torsion: int
-    det_reduced: int
-    eigenvalue_identity_ok: bool
-    determinant_identity_ok: bool
-    warnings: tuple = ()
-
-    @property
-    def ok(self):
-        return self.eigenvalue_identity_ok and self.determinant_identity_ok
-
-
-def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttReport:
-    """Check pi_i = tau_i * tau_{i-1} / |H_{i-2}|^2 and the determinant
-    form of tau_i, all in exact integer arithmetic (cross-multiplied).
-
-    The theorem needs the i-skeleton to be acyclic in positive
-    codimension: otherwise NotAcyclicError.  That makes H_{i-2} finite
-    and gives (i-1)-trees.
-    A partial census makes the identities undefined: BudgetExceededError.
-    The (i-1)-tree for the determinant is the first torsion-free leaf of
-    the (i-1)-census, else its first leaf, so no second search runs; the
-    tree is then checked once, by ``reduced_laplacian``.
-    """
-    from .critical import pi_product, reduced_laplacian
-
-    if not 1 <= i <= comp.dim:
-        raise ValueError(f"dimension {i} out of range [1, {comp.dim}]")
-    if not comp.is_apc(i):
-        raise NotAcyclicError(
-            f"the {i}-skeleton is not acyclic in positive codimension: "
-            "the matrix-tree identities do not apply"
-        )
-    first = {}  # torsion-free or not -> the first such leaf
-
-    def keep(t):
-        first.setdefault(t.torsion_order == 1, t)
-
-    census = enumerate_trees(comp, i, budget=budget)
-    census_prev = enumerate_trees(comp, i - 1, budget=budget, on_tree=keep)
-    for c in (census, census_prev):
-        if not c.complete:
-            raise BudgetExceededError(f"{c.dimension}-tree " + "; ".join(c.warnings))
-    h_order = comp.reduced_homology(i - 2).order
-
-    pi = pi_product(comp, i)
-    eig_ok = pi * h_order * h_order == census.tau * census_prev.tau
-
-    tree = first.get(True) or first[False]
-    # a principal block of the PSD Laplacian: det >= 0, and 0 iff singular
-    red = reduced_laplacian(comp, i - 1, tree)
-    facs = invariant_factors(red)
-    det = prod(facs) if len(facs) == red.rows else 0
-    t2 = tree.torsion_order * tree.torsion_order
-    det_ok = census.tau * t2 == h_order * h_order * det
-
-    return SmttReport(
-        dimension=i,
-        pi=pi,
-        tau=census.tau,
-        tau_prev=census_prev.tau,
-        homology_order=h_order,
-        tree_faces=tree.top_faces,
-        tree_torsion=tree.torsion_order,
-        det_reduced=det,
-        eigenvalue_identity_ok=eig_ok,
-        determinant_identity_ok=det_ok,
-        warnings=census.warnings + census_prev.warnings,
-    )

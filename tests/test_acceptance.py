@@ -19,6 +19,7 @@ from simpcrit.critical import (
     critical_group_reduced,
     reduced_laplacian,
     verify_simplex_structure,
+    verify_smtt,
 )
 from simpcrit.flows import (
     ChipState,
@@ -46,7 +47,6 @@ from simpcrit.intlinalg import (
 from simpcrit.trees import (
     enumerate_trees,
     find_torsion_free_tree,
-    verify_smtt,
 )
 
 RP2_FACETS = [

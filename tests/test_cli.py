@@ -2,14 +2,12 @@ import errno
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import pytest
-from test_acceptance import RP2_FACETS
+from test_acceptance import RP2_FACETS, linial_meshulam
 
 from simpcrit import cli, trees
 from simpcrit.cli import main
@@ -128,6 +126,7 @@ INPUT_ERRORS = [
      "--budget must be at least 0, got -1"),
     (("--gen", "bipyramid", "verify", "smtt", "--dim", "2", "--budget", "-1"),
      "--budget must be at least 0, got -1"),
+    (("verify", "simplex", "--n", "100000", "--k", "0"), "need 1 <= k <= n - 2"),
 ]
 
 
@@ -479,14 +478,6 @@ CONE_TETRA = ("--facets", "cone_tetra.txt")
 TRI_CYCLE = ("--facets", "tri_cycle.txt")
 
 
-def lm_facets(n, p, seed):
-    """All edges on 1..n, then each triangle in combinations order kept
-    when random.Random(seed).random() < p."""
-    rng = random.Random(seed)
-    tris = [t for t in combinations(range(1, n + 1), 3) if rng.random() < p]
-    return list(combinations(range(1, n + 1), 2)) + tris
-
-
 # (argv, exit code, first 16 hex digits of the SHA-256 of the --json stdout)
 PINNED_REPORTS = [
     (BIPYRAMID + ("info",), 0, "b8bca8a529253d03"),
@@ -552,8 +543,8 @@ PINNED_REPORTS = [
 def test_reports_are_pinned_byte_for_byte(argv, exit_code, digest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, facets in (("rp2.txt", RP2_FACETS),
-                         ("lm10.txt", lm_facets(10, 0.5, 1)),
-                         ("lm14.txt", lm_facets(14, 0.3, 1)),
+                         ("lm10.txt", linial_meshulam(10, 0.5, 1).facets()),
+                         ("lm14.txt", linial_meshulam(14, 0.3, 1).facets()),
                          ("rp2_tetra.txt", RP2_TETRA_FACETS),
                          ("cone_tetra.txt", CONE_TETRA_FACETS),
                          ("tri_cycle.txt", [(1, 2, 3), (3, 4), (4, 5), (3, 5)]),

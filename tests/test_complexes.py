@@ -1,7 +1,8 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from test_acceptance import RP2_FACETS
+from test_intlinalg import frac_rank
 
 from simpcrit.complexes import SimplicialComplex, make_face
 from simpcrit.generators import (
@@ -12,31 +13,6 @@ from simpcrit.generators import (
     simplex_skeleton,
     sphere,
 )
-
-RP2_FACETS = [
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-]
-
-
-def frac_rank(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
 
 def betti_oracle(comp, i):
     """Reduced Betti number by rational row reduction, independent of

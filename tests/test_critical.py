@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from test_acceptance import LM_TORSION, RP2_FACETS, linial_meshulam
+from test_acceptance import BIPYR_REDUCED, LM_TORSION, RP2_FACETS, linial_meshulam
 
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
@@ -16,6 +16,7 @@ from simpcrit.critical import (
     pi_product,
     reduced_laplacian,
     verify_simplex_structure,
+    verify_smtt,
 )
 from simpcrit.generators import (
     bipyramid,
@@ -42,17 +43,7 @@ from simpcrit.trees import (
     enumerate_trees,
     find_torsion_free_tree,
     required_tree_size,
-    verify_smtt,
 )
-
-BIPYR_REDUCED = [
-    [3, -1, -1, 1, 1],
-    [-1, 2, 0, -1, 0],
-    [-1, 0, 2, 0, -1],
-    [1, -1, 0, 2, 0],
-    [1, 0, -1, 0, 2],
-]
-
 
 # ---- Laplacians -------------------------------------------------------------
 
@@ -204,12 +195,6 @@ def test_laplacian_factors_match_smith_form():
             assert invariant_factors(a) == smith_normal_form(a).d, spec
 
 
-RP2_FACETS = [
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-]
-
-
 def test_reduced_route_requires_torsion_free_tree():
     # the 6-vertex projective plane is a 2-tree of the simplex skeleta
     # with torsion of order 2; the reduced route must refuse it
@@ -254,6 +239,34 @@ def test_maxwell_parameter_range():
         maxwell_matrix(4, 3)
     with pytest.raises(ValueError):
         maxwell_matrix(4, 0)
+
+
+def test_simplex_checks_build_only_the_k_plus_1_skeleton(monkeypatch):
+    # faces of dimension k-1..k+1 are all they read: no facet wider than k + 2
+    widths = []
+    build = SimplicialComplex.from_facets.__func__
+
+    def spy(cls, facets):
+        facets = list(facets)
+        widths.append(max(map(len, facets), default=0))
+        return build(cls, facets)
+
+    monkeypatch.setattr(SimplicialComplex, "from_facets", classmethod(spy))
+    assert verify_simplex_structure(7, 2).passed
+    maxwell_matrix(7, 2)
+    assert widths and max(widths) == 4
+
+
+def test_simplex_checks_reject_k_before_building(monkeypatch):
+    def refuse(cls, facets):
+        raise AssertionError("a complex was built before k was checked")
+
+    monkeypatch.setattr(SimplicialComplex, "from_facets", classmethod(refuse))
+    for check in (verify_simplex_structure, maxwell_matrix):
+        # no vertex at all fails the same range check
+        for n, k in ((10**5, 0), (0, 1)):
+            with pytest.raises(ValueError, match="^need 1 <= k <= n - 2$"):
+                check(n, k)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (5, 2)])

@@ -1,11 +1,11 @@
 from itertools import combinations
 
 import pytest
-from test_acceptance import linial_meshulam
+from test_acceptance import RP2_FACETS, linial_meshulam
 
 from simpcrit import trees
 from simpcrit.complexes import SimplicialComplex
-from simpcrit.critical import critical_group_reduced, reduced_laplacian
+from simpcrit.critical import critical_group_reduced, reduced_laplacian, verify_smtt
 from simpcrit.flows import extend_to_conservative, to_group_element
 from simpcrit.generators import bipyramid, complete_graph, cycle, simplex_skeleton, sphere
 from simpcrit.intlinalg import column_basis, determinant, invariant_factors
@@ -23,13 +23,8 @@ from simpcrit.trees import (
     find_torsion_free_tree,
     is_spanning_tree,
     required_tree_size,
-    verify_smtt,
 )
 
-RP2_FACETS = [
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-]
 # RP^2 with the loop 4-5-6 coned off: its first 2-tree has torsion 2, a
 # later one none
 RP2_CONE_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7)]
