@@ -38,6 +38,7 @@ from .generators import (
     complete_graph,
     cycle,
     full_simplex,
+    moore,
     simplex_skeleton,
     sphere,
 )

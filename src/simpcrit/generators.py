@@ -52,11 +52,30 @@ def sphere(d) -> SimplicialComplex:
     return SimplicialComplex.from_facets(combinations(range(1, d + 3), d + 2 - 1))
 
 
+def moore(m) -> SimplicialComplex:
+    """The Moore space M(m), m >= 2: the mapping cone of a degree-m map
+    onto the 3-cycle 1 2 3.  The ring 4 .. 3m + 3 winds m times around
+    the cycle and is coned off from 3m + 4, so f = (1, 3m + 4, 12m + 3,
+    9m), H~_1 = Z/m and H~_2 = 0."""
+    if m < 2:
+        raise ValueError("a Moore space needs m >= 2")
+    n = 3 * m
+    return SimplicialComplex.from_facets(
+        f
+        for k in range(n)
+        for f in (
+            (1 + k % 3, 1 + (k + 1) % 3, 4 + k),
+            (1 + (k + 1) % 3, 4 + k, 4 + (k + 1) % n),
+            (4 + k, 4 + (k + 1) % n, n + 4),
+        )
+    )
+
+
 def from_spec(text) -> SimplicialComplex:
     """Parse a generator spec such as "bipyramid" or "cycle 5".
 
     Kinds: bipyramid | cycle N | complete N | simplex-skeleton N K |
-    sphere D.
+    sphere D | moore M.
     """
     parts = text.split()
     if not parts:
@@ -76,4 +95,6 @@ def from_spec(text) -> SimplicialComplex:
         return simplex_skeleton(*nums)
     if kind == "sphere" and len(nums) == 1:
         return sphere(nums[0])
+    if kind == "moore" and len(nums) == 1:
+        return moore(nums[0])
     raise ValueError(f"unrecognized generator spec {text!r}")

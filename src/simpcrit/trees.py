@@ -21,12 +21,20 @@ rows outside a fixed (i-1)-basis and the columns of a tree T is
 +-c |H_{i-1}(T)|, with an index c that does not depend on T.  The search
 calibrates c with the tree check at its first leaf and divides every
 leaf's pivot by it, exactly.
+
+The census kernel ``_dfs`` works on packed columns.  Each column on the
+``need`` rows is one Python int whose lane r, bits [r*w, (r+1)*w), holds
+row r as a balanced base-2^w digit, with a small int mask whose bits
+cover the nonzero lanes.  A Bareiss step is then a few big-int
+operations on whole columns instead of a loop over entries.  The lane
+width w is set by Hadamard's bound on the minors the search reads, so no
+lane it decodes ever carries into the next (the proof is in ``_dfs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isqrt, prod
 
 from .complexes import SimplicialComplex, make_face
 from .intlinalg import column_basis, invariant_factors
@@ -222,19 +230,43 @@ def _exact_div(a, b):
     return q
 
 
-def _dfs(state, root):
+def _dfs(state, root, width):
     """The search, with an explicit stack so that its depth costs no
-    Python frames.  ``levels[k]`` is [candidates, next position, pivot]
-    below ``chosen[:k]``: (face index, column reduced against the chosen
-    columns), nonzero, in increasing index order, and the pivot taken at
-    level k - 1 (1 at the root).
+    Python frames.  ``levels`` holds one [candidates, next position,
+    pivot] per level k below ``chosen[:k]``: the candidates are the
+    (face index, packed column, lane mask) triples of the columns reduced
+    against the chosen ones, nonzero, in increasing index order, and the
+    pivot is the one taken at level k - 1 (1 at the root).
 
     ``root`` holds the columns of d_i on the ``need`` rows of
-    ``_rows_outside_basis``.  Each step is Bareiss's, divided exactly by
-    the parent pivot, so a level-k entry is a (k+1)-minor and a leaf's
-    one nonzero entry is +-det d_i[rows, tree] = c |H_{i-1}(tree)| (see
-    the module docstring).  The first leaf reads c off its tree check."""
+    ``_rows_outside_basis``, packed by ``_packed_root``: a column is one
+    int, sum of x_r << r*width over its entries x_r, so lane r is a
+    balanced base-2^width digit, and bit r of its mask is set whenever
+    lane r is nonzero (the mask may have more bits set).  Each step is
+    Bareiss's, divided exactly by the parent pivot, so a level-k lane is
+    a (k+1)-minor and a leaf's one nonzero lane is
+    +-det d_i[rows, tree] = c |H_{i-1}(tree)| (see the module
+    docstring).  The first leaf reads c off its tree check.
+
+    A step takes column V with mask m.  Its pivot lane p holds V's lowest
+    set bit, since the lanes below p are zero, and a is that lane.  A
+    later candidate V2 with mask m2 has c = 0 in lane p if m2 misses bit
+    p; otherwise c is decoded from V2's low (p+1)*width bits.  Its child
+    is (a*V2 - c*V) // prev, with mask (m2 | m) less bit p; with c = 0 it
+    is V2 itself when a == prev, else a*V2 // prev.  A leaf's det is
+    |V >> p*width|.
+
+    The lanes never carry.  Every lane the search decodes (a, c, a leaf)
+    is a minor of order at most ``need`` of the root, whose columns have
+    entries 0, +-1 and at most i + 1 nonzeros, so Hadamard's bound gives
+    |minor| <= (i + 1)^(need/2) < 2^(width - 1) (see ``_search``).  The
+    undivided a*V2 - c*V is never decoded, so its lanes may overflow:
+    it is the integer sum of u_r << r*width, every u_r a multiple of
+    prev (Bareiss), so // prev is exact and gives the lanes u_r / prev,
+    which are minors again."""
     need = state.need
+    half = 1 << (width - 1)
+    digit = (1 << width) - 1
     chosen = []
     levels = [[root, 0, 1]]
     index = None
@@ -248,33 +280,38 @@ def _dfs(state, root):
                 chosen.pop()
             continue
         level[1] = pos + 1
-        j, vec = cands[pos]
+        j, vec, mask = cands[pos]
+        p = ((vec & -vec).bit_length() - 1) // width
+        shift = p * width
         if left == 1:
             tree = chosen + [j]
-            det = abs(next(x for x in vec if x))
+            det = abs(vec >> shift)
             if index is None:
                 index = _exact_div(det, state.checked_torsion(tree))
             _record(state, tree, _exact_div(det, index))
             continue
         # take candidate #pos and reduce the rest against its column
         state.charge(len(cands) - pos - 1)
-        p = 0
-        while not vec[p]:
-            p += 1
-        a = vec[p]
+        a = (((vec >> shift) + half) & digit) - half
+        bit = 1 << p
+        # lanes 0..p of V2 as one residue; adding half of 2^shift absorbs
+        # the signed sum of the lanes below p, which is smaller than that
+        low = (1 << (shift + width)) - 1
+        rounding = (1 << shift) >> 1
         child = []
-        for k in range(pos + 1, len(cands)):
-            cand = cands[k]
-            v2 = cand[1]
-            c = v2[p]
-            if c:
-                w = [(a * x - c * y) // prev for x, y in zip(v2, vec)]
-                if any(w):
-                    child.append((cand[0], w))
-            elif a == prev:
+        for cand in cands[pos + 1:]:
+            j2, v2, m2 = cand
+            if m2 & bit:
+                c = (((((v2 & low) + rounding) >> shift) + half) & digit) - half
+                if c:
+                    w = (a * v2 - c * vec) // prev
+                    if w:
+                        child.append((j2, w, (m2 | mask) & ~bit))
+                    continue
+            if a == prev:
                 child.append(cand)
             else:
-                child.append((cand[0], [a * x // prev for x in v2]))
+                child.append((j2, a * v2 // prev, m2))
         if len(child) >= left - 1:
             chosen.append(j)
             levels.append([child, 0, a])
@@ -300,6 +337,22 @@ def _root_candidates(bd, rows):
     data = [bd.data[r] for r in rows]
     cols = ([row[j] for row in data] for j in range(bd.cols))
     return ((j, col) for j, col in enumerate(cols) if any(col))
+
+
+def _packed_root(bd, rows, width):
+    """The (face index, packed column, lane mask) candidates of ``_dfs``:
+    the nonzero columns of bd on ``rows``, row r in lane r.  Each column
+    is summed from its nonzeros alone, since a dense pack of every lane
+    costs far more on the sparse columns of a large search."""
+    vals = [0] * bd.cols
+    masks = [0] * bd.cols
+    for r, k in enumerate(rows):
+        shift = r * width
+        for j, x in enumerate(bd.data[k]):
+            if x:
+                vals[j] += x << shift
+                masks[j] |= 1 << r
+    return [(j, v, m) for j, (v, m) in enumerate(zip(vals, masks)) if m]
 
 
 def _rows_outside_basis(comp, i):
@@ -350,7 +403,10 @@ def _search(comp, i, budget, on_tree, descend=False):
         if descend:
             _descend(state, _root_candidates(bd, range(bd.rows)))
         else:
-            _dfs(state, list(_root_candidates(bd, _rows_outside_basis(comp, i))))
+            # |minor| <= (i + 1)^(need/2) < isqrt((i + 1)^need) + 1 < 2^(width - 2):
+            # one more bit for the sign, and one to spare
+            width = (isqrt((i + 1) ** state.need) + 1).bit_length() + 2
+            _dfs(state, _packed_root(bd, _rows_outside_basis(comp, i), width), width)
     except BudgetExceededError:
         census.complete = False
         census.warnings += (

@@ -43,6 +43,9 @@ def test_gen_kinds(capsys):
     assert code == 0 and rep["result"]["f_vector"][3] == 20
     code, rep, _ = run_json(capsys, "--gen", "complete 4", "info")
     assert code == 0 and rep["result"]["f_vector"] == [1, 4, 6]
+    code, rep, _ = run_json(capsys, "--gen", "moore 3", "info")
+    assert code == 0 and rep["result"]["f_vector"] == [1, 13, 39, 27]
+    assert rep["result"]["homology"]["1"] == {"betti": 0, "torsion": ["3"]}
 
 
 def test_gen_bad_params(capsys):
@@ -90,6 +93,7 @@ INPUT_ERRORS = [
      f"cannot read facet file: [Errno 2] {os.strerror(errno.ENOENT)}: 'missing.txt'"),
     (("--facets", "bad.txt", "info"), "bad.txt:1: not an integer list: '1 two 3'"),
     (("--gen", "cycle 2", "info"), "a cycle needs at least 3 vertices"),
+    (("--gen", "moore 1", "info"), "a Moore space needs m >= 2"),
     (("--gen", "dodecahedron", "info"), "unrecognized generator spec 'dodecahedron'"),
     (("--gen", "bipyramid", "critical-group", "--dim", "2"),
      "--dim 2 out of range [0, 1] for this complex"),

@@ -31,7 +31,7 @@ from simpcrit.flows import (
     stabilize,
     to_group_element,
 )
-from simpcrit.generators import bipyramid, complete_graph, cycle, sphere
+from simpcrit.generators import bipyramid, complete_graph, cycle, moore, sphere
 from simpcrit.intlinalg import AbelianGroup, lattice_membership, smith_normal_form
 from simpcrit.trees import (
     TreeHasTorsionError,
@@ -638,20 +638,10 @@ def test_bank_fixed_points_fire_every_vertex_once():
     assert fixed == 200 and moved > 100
 
 
-def moore_facets(m):
-    """M(m), the mapping cone of a degree-m map onto the 3-cycle 1 2 3:
-    ring vertices 4 .. 3m + 3 and centre 3m + 4, H~_1 = Z/m, H~_2 = 0."""
-    n = 3 * m
-    return [f for k in range(n) for f in (
-        (1 + k % 3, 1 + (k + 1) % 3, 4 + k),
-        (1 + (k + 1) % 3, 4 + k, 4 + (k + 1) % n),
-        (4 + k, 4 + (k + 1) % n, n + 4))]
-
-
 def test_moore_spaces_carry_torsion_in_homology():
     rng = random.Random(77)
     for m in range(2, 8):
-        comp = SimplicialComplex.from_facets(moore_facets(m))
+        comp = moore(m)
         assert comp.f_vector() == (1, 3 * m + 4, 12 * m + 3, 9 * m)
         assert comp.reduced_homology(1) == AbelianGroup(0, (m,))
         assert comp.reduced_homology(2) == AbelianGroup(0, ())

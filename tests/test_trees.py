@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from test_acceptance import RP2_FACETS, linial_meshulam
@@ -7,7 +9,15 @@ from simpcrit import trees
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import critical_group_reduced, reduced_laplacian, verify_smtt
 from simpcrit.flows import extend_to_conservative, to_group_element
-from simpcrit.generators import bipyramid, complete_graph, cycle, simplex_skeleton, sphere
+from simpcrit.generators import (
+    bipyramid,
+    complete_graph,
+    cycle,
+    full_simplex,
+    moore,
+    simplex_skeleton,
+    sphere,
+)
 from simpcrit.intlinalg import column_basis, determinant, invariant_factors
 from simpcrit.trees import (
     DEFAULT_BUDGET,
@@ -314,6 +324,55 @@ def test_pinned_census_walks():
         assert (census.count, census.extensions) == (count, extensions), comp
 
 
+def test_pinned_wide_lane_walks():
+    # packed columns of many wide lanes: M(30) has one 2-tree of 270 faces
+    # (270 lanes of 216 bits), and the 2-trees of simplex_skeleton(12, 3)
+    # have 55 faces.  The masks send all but 1,949 of the 36,315 and all
+    # but 486 of the 8,175 reductions down the c = 0 path
+    census = enumerate_trees(moore(30), 2)
+    assert (census.count, census.tau, census.extensions) == (1, 900, 36315)
+    census, leaves = stream_leaves(simplex_skeleton(12, 3), 2, stop=3)
+    assert (census.count, census.extensions, census.complete) == (3, 8175, False)
+    assert all(t.torsion_order == 1 for t in leaves)
+
+
+def lm_moore(m, n, p, seed):
+    """M(m) and the seeded LM(n, p, seed) on its first n vertices: H~_1
+    and the trees can both carry torsion."""
+    return SimplicialComplex.from_facets(moore(m).facets() + linial_meshulam(n, p, seed).facets())
+
+
+def test_census_matches_brute_force():
+    # every leaf, in order and with its torsion, against is_spanning_tree
+    # on every subset of the tree size
+    rp2 = SimplicialComplex.from_facets(RP2_FACETS)
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
+    cases = [(comp, i) for comp in (rp2, bipyramid(), sphere(2), simplex_skeleton(5, 2))
+             for i in range(comp.dim + 1)]
+    cases += [(rp2_cone, 0), (rp2_cone, 2), (simplex_skeleton(6, 3), 3)]
+    # trees of one face: a vertex, an edge, a triangle, a tetrahedron
+    cases += [(cycle(5), 0), (full_simplex(2), 1), (full_simplex(3), 2), (full_simplex(4), 3)]
+    cases += [(moore(m), i) for m in range(2, 6) for i in (0, 2)]
+    seeded = [linial_meshulam(6, 0.6, s) for s in (1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12)]
+    seeded += [lm_moore(2, 5, 0.4, s) for s in (1, 2, 3, 5, 6)]
+    seeded += [lm_moore(m, 6, 0.4, s) for m in (2, 3) for s in (1, 2, 3, 5, 6)]
+    seeded += [lm_moore(4, 6, 0.4, s) for s in (1, 2, 5)]
+    cases += [(comp, 2) for comp in seeded]
+    torsion = Counter()
+    for comp, i in cases:
+        need = required_tree_size(comp, i)
+        assert comb(len(comp.faces(i)), need) <= 20_000, (comp, i)
+        want = list(trees_brute(comp, i))
+        census, leaves = stream_leaves(comp, i)
+        assert leaves == want, (comp, i)
+        histogram = Counter(t.torsion_order for t in want)
+        assert census.complete and census.count == len(want), (comp, i)
+        assert census.tau == sum(t * t * n for t, n in histogram.items()), (comp, i)
+        assert census.torsion_histogram == histogram, (comp, i)
+        torsion.update(histogram)
+    assert {1, 2, 3, 4} <= set(torsion)
+
+
 def test_full_search_without_apc():
     # disjoint unions are not APC (beta~_0 = 1), but beta~_1 = 0, so their
     # 2-trees exist and the census walks them all
@@ -372,18 +431,23 @@ def test_find_torsion_free_tree_budget_is_not_absence():
         find_torsion_free_tree(rp2, 2, budget=1)
 
 
-def first_tree_brute(comp, i, torsion_free):
-    """The first index combination, in itertools.combinations order, that
-    is_spanning_tree accepts (with torsion 1 if torsion_free).  The tree
-    size comes from the homology of the i-skeleton, not from the search."""
+def trees_brute(comp, i):
+    """Every i-tree, in itertools.combinations order of the face indices,
+    by is_spanning_tree on each subset of the tree size.  The tree size
+    comes from the homology of the i-skeleton, not from the search."""
     sk = comp.skeleton(i)
     faces = comp.faces(i)
     need = len(faces) - sk.reduced_homology(i).betti + sk.reduced_homology(i - 1).betti
-    for combo in combinations(range(len(faces)), need):
-        t = is_spanning_tree(comp, i, [faces[j] for j in combo])
-        if t is not None and (t.torsion_order == 1 or not torsion_free):
-            return t
-    return None
+    for combo in combinations(faces, need):
+        t = is_spanning_tree(comp, i, combo)
+        if t is not None:
+            yield t
+
+
+def first_tree_brute(comp, i, torsion_free):
+    """The first tree of ``trees_brute`` (with torsion 1 if torsion_free)."""
+    return next((t for t in trees_brute(comp, i) if t.torsion_order == 1 or not torsion_free),
+                None)
 
 
 def test_first_trees_match_brute_force():
