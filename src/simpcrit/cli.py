@@ -489,7 +489,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--gen", metavar="SPEC", default=argparse.SUPPRESS,
                         help="generate a complex: bipyramid | cycle N | "
-                        "complete N | simplex-skeleton N K | sphere D")
+                        "complete N | simplex-skeleton N K | sphere D | moore M")
     common.add_argument("--facets", metavar="FILE", default=argparse.SUPPRESS,
                         help="read facets from a file, one per line")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .intlinalg import AbelianGroup, IntMatrix, invariant_factors
+from .intlinalg import AbelianGroup, IntMatrix, column_basis, invariant_factors
 
 Face = tuple
 
@@ -147,6 +147,28 @@ class SimplicialComplex:
         return self._memoized(
             ("boundary_factors", i), lambda: invariant_factors(self.boundary_matrix(i))
         )
+
+    def _first_basis(self, i, charge=None) -> tuple:
+        """Indices of the first column basis of boundary_i, scanned in index
+        order once per complex and stopped at its rank(boundary_i)-th column.
+        ``charge`` gets each fresh column's reductions, or their stored total
+        on a memo hit, and may raise; a scan that raises stores nothing."""
+        key = ("first_basis", i)
+        if key not in self._memo:
+            bd = self.boundary_matrix(i)
+            basis, cost = [], 0
+            scan = column_basis((j, bd.column(j)) for j in range(bd.cols))
+            while len(basis) < len(self._boundary_factors(i)):
+                j, steps, taken = next(scan)
+                cost += steps
+                if charge is not None:
+                    charge(steps)
+                if taken:
+                    basis.append(j)
+            self._memo[key] = tuple(basis), cost
+        elif charge is not None:
+            charge(self._memo[key][1])
+        return self._memo[key][0]
 
     # -- homology ------------------------------------------------------
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, prod
 
 from .complexes import SimplicialComplex
@@ -260,9 +261,9 @@ def pi_product(comp: SimplicialComplex, j) -> int:
     """Product of the nonzero eigenvalues of the up-down Laplacian in
     dimension j - 1.  With the augmentation convention, pi_0 = f_0.
 
-    Let d = boundary_j have rank r, T the first maximal independent set
-    of its columns, C = d[:, T], and R the first maximal independent set
-    of C's rows, so that the r x r minor d_RT = C_R is invertible over Q.
+    Let d = boundary_j have rank r, T its first column basis, computed
+    once per complex, C = d[:, T], and R the first maximal independent
+    set of C's rows, so that the r x r minor d_RT = C_R is invertible over Q.
     Every column of d lies in col(C), so d = C X for one r-row X, and
     d_R = C_R X gives X = d_RT^-1 d_R.  The nonzero eigenvalues of
     L = d d^T = C (X X^T C^T) are those of the r x r matrix
@@ -278,18 +279,19 @@ def pi_product(comp: SimplicialComplex, j) -> int:
     """
     if not 0 <= j <= comp.dim:
         raise ValueError(f"index {j} out of range [0, {comp.dim}]")
-    c, r = _column_and_row_basis(comp.boundary_matrix(j))
+    c, r = _column_and_row_basis(comp, j)
     minor = prod(invariant_factors(c.submatrix(r, range(c.cols))))
     gram = prod(invariant_factors(c.transpose() * c))
     return gram * prod(invariant_factors(laplacian(comp, j - 1).submatrix(r, r))) // minor**2
 
 
-def _column_and_row_basis(bd):
-    """C = bd[:, T], T the first maximal independent set of bd's columns,
-    and R, the first maximal independent set of C's rows."""
-    t = [c for c, _, taken in column_basis((c, bd.column(c)) for c in range(bd.cols)) if taken]
+def _column_and_row_basis(comp, j):
+    """C = d[:, T], d = boundary_j and T its first column basis, and R,
+    the first maximal independent set of C's rows, which stops at |T|."""
+    t = comp._first_basis(j)
+    bd = comp.boundary_matrix(j)
     c = bd.submatrix(range(bd.rows), t)
-    return c, [i for i, _, taken in column_basis(enumerate(c.data)) if taken]
+    return c, list(islice((i for i, _, taken in column_basis(enumerate(c.data)) if taken), len(t)))
 
 
 def alternating_order(comp: SimplicialComplex, i) -> Fraction:

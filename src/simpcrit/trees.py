@@ -20,7 +20,8 @@ by the same paper's determinant lemma, the square minor of d_i on the
 rows outside a fixed (i-1)-basis and the columns of a tree T is
 +-c |H_{i-1}(T)|, with an index c that does not depend on T.  The search
 calibrates c with the tree check at its first leaf and divides every
-leaf's pivot by it, exactly.
+leaf's pivot by it, exactly.  That (i-1)-basis, and the first leaf, are
+the first column bases of d_{i-1} and d_i, each computed once per complex.
 
 The census kernel ``_dfs`` works on packed columns.  Each column on the
 ``need`` rows is one Python int whose lane r, bits [r*w, (r+1)*w), holds
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from math import isqrt, prod
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import column_basis, invariant_factors
+from .intlinalg import invariant_factors
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -101,13 +102,6 @@ def _check_dim(comp, i):
         raise ValueError(f"dimension {i} out of range [0, {comp.dim}]")
 
 
-def _rank_and_torsion(bd, cols):
-    """(rank, torsion order) of the boundary columns ``cols`` of bd: the
-    number and the product of the invariant factors of that submatrix."""
-    facs = invariant_factors(bd.submatrix(range(bd.rows), cols))
-    return len(facs), prod(facs)
-
-
 def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     """The SpanningTree on those i-faces, or None if they are not one.
 
@@ -119,10 +113,11 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     cols = [comp.face_index(i, f) for f in fs]
     if len(fs) != required_tree_size(comp, i):
         return None
-    r, torsion = _rank_and_torsion(comp.boundary_matrix(i), cols)
-    if r != len(fs):
+    bd = comp.boundary_matrix(i)
+    facs = invariant_factors(bd.submatrix(range(bd.rows), cols))
+    if len(facs) != len(fs):
         return None
-    return SpanningTree(dimension=i, top_faces=tuple(fs), torsion_order=torsion)
+    return SpanningTree(dimension=i, top_faces=tuple(fs), torsion_order=prod(facs))
 
 
 def as_spanning_tree(comp, i, tree) -> SpanningTree:
@@ -173,7 +168,7 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
         return False
 
     # the full search, counting extensions from zero again, runs only if
-    # the first leaf, from ``_descend``, has torsion
+    # the first leaf, the complex's first basis of d_i, has torsion
     census = _search(comp, i, budget, grab, descend=True)
     if census.count and not found:
         census = _search(comp, i, budget, grab)
@@ -317,28 +312,6 @@ def _dfs(state, root, width):
             levels.append([child, 0, a])
 
 
-def _descend(state, cands):
-    """The first leaf of ``_dfs``, keeping no candidate lists: each
-    candidate is reduced against the taken columns, in ``_dfs``'s order,
-    only when its turn comes (``column_basis``), so nothing past the
-    leaf's last face is touched and the extensions are fewer."""
-    chosen = []
-    for j, steps, taken in column_basis(cands):
-        state.charge(steps)
-        if taken:
-            chosen.append(j)
-            if len(chosen) == state.need:
-                _record(state, chosen, state.checked_torsion(chosen))
-                return
-
-
-def _root_candidates(bd, rows):
-    # boundary columns have entries 0 and +-1, so they are already primitive
-    data = [bd.data[r] for r in rows]
-    cols = ([row[j] for row in data] for j in range(bd.cols))
-    return ((j, col) for j, col in enumerate(cols) if any(col))
-
-
 def _packed_root(bd, rows, width):
     """The (face index, packed column, lane mask) candidates of ``_dfs``:
     the nonzero columns of bd on ``rows``, row r in lane r.  Each column
@@ -356,15 +329,14 @@ def _packed_root(bd, rows, width):
 
 
 def _rows_outside_basis(comp, i):
-    """The (i-1)-faces outside the first maximal independent set of
-    columns of d_{i-1}: f_{i-1} - rank d_{i-1} = ``required_tree_size``
-    of them.  A chain in ker d_{i-1} that vanishes on them is a relation
-    among independent columns, so it is zero: restricting to these rows
+    """The (i-1)-faces outside the complex's first column basis of
+    d_{i-1}: f_{i-1} - rank d_{i-1} = ``required_tree_size`` of them.
+    A chain in ker d_{i-1} that vanishes on them is a relation among
+    independent columns, so it is zero: restricting to these rows
     is injective on ker d_{i-1}, which holds the columns of d_i.  Column
     sets of d_i are independent on these rows iff they are on all."""
-    bd = comp.boundary_matrix(i - 1)
-    basis = {j for j, _, taken in column_basis(_root_candidates(bd, range(bd.rows))) if taken}
-    return [r for r in range(bd.cols) if r not in basis]
+    basis = set(comp._first_basis(i - 1))
+    return [r for r in range(len(comp.faces(i - 1))) if r not in basis]
 
 
 def enumerate_trees(
@@ -390,7 +362,8 @@ def enumerate_trees(
 def _search(comp, i, budget, on_tree, descend=False):
     """The one tree search: depth-first over face indices in lexicographic
     order, a leaf for every set of ``required_tree_size`` independent
-    columns.  With ``descend``, only up to its first leaf.  When
+    columns.  With ``descend``, only its first leaf, the complex's first
+    basis of d_i: beta~_{i-1} = 0 makes rank d_i = ``need``.  When
     beta~_{i-1} != 0 no i-tree exists: an empty, complete census with a
     warning, and no budget spent."""
     if comp.reduced_homology(i - 1).betti:
@@ -398,15 +371,16 @@ def _search(comp, i, budget, on_tree, descend=False):
         return TreeCensus(dimension=i, warnings=(why,))
     state = _EnumState(comp, i, budget, on_tree)
     census = state.census
-    bd = comp.boundary_matrix(i)
     try:
         if descend:
-            _descend(state, _root_candidates(bd, range(bd.rows)))
+            tree = comp._first_basis(i, state.charge)
+            _record(state, tree, state.checked_torsion(tree))
         else:
             # |minor| <= (i + 1)^(need/2) < isqrt((i + 1)^need) + 1 < 2^(width - 2):
             # one more bit for the sign, and one to spare
             width = (isqrt((i + 1) ** state.need) + 1).bit_length() + 2
-            _dfs(state, _packed_root(bd, _rows_outside_basis(comp, i), width), width)
+            root = _packed_root(comp.boundary_matrix(i), _rows_outside_basis(comp, i), width)
+            _dfs(state, root, width)
     except BudgetExceededError:
         census.complete = False
         census.warnings += (

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from test_acceptance import RP2_FACETS, linial_meshulam
 
-from simpcrit import cli, trees
+from simpcrit import cli, generators, trees
 from simpcrit.cli import main
 from simpcrit.trees import find_torsion_free_tree
 
@@ -46,6 +46,15 @@ def test_gen_kinds(capsys):
     code, rep, _ = run_json(capsys, "--gen", "moore 3", "info")
     assert code == 0 and rep["result"]["f_vector"] == [1, 13, 39, 27]
     assert rep["result"]["homology"]["1"] == {"betti": 0, "torsion": ["3"]}
+
+
+def test_gen_help_names_every_kind():
+    # whitespace is dropped on both sides, since argparse wraps the help
+    kinds = generators.from_spec.__doc__.split("Kinds:")[1].split(".")[0].split("|")
+    help_text = "".join(cli.build_parser().format_help().split())
+    assert len(kinds) == 6
+    for kind in kinds:
+        assert "".join(kind.split()) in help_text, kind
 
 
 def test_gen_bad_params(capsys):

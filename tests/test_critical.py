@@ -400,7 +400,7 @@ def test_pi_product_divides_by_a_nonunit_minor():
     # the division by its square is not a division by 1
     for facets in (RP2_FACETS, RP2_CONE_FACETS):
         comp = SimplicialComplex.from_facets(facets)
-        c, r = _column_and_row_basis(comp.boundary_matrix(2))
+        c, r = _column_and_row_basis(comp, 2)
         assert len(r) == c.cols
         assert abs(determinant(c.submatrix(r, range(c.cols)))) == 2
         assert pi_product(comp, 2) == pdet_by_char_poly(laplacian(comp, 1))

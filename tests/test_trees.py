@@ -1,13 +1,13 @@
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from test_acceptance import RP2_FACETS, linial_meshulam
 
-from simpcrit import trees
+from simpcrit import intlinalg, trees
 from simpcrit.complexes import SimplicialComplex
-from simpcrit.critical import critical_group_reduced, reduced_laplacian, verify_smtt
+from simpcrit.critical import critical_group_reduced, pi_product, reduced_laplacian, verify_smtt
 from simpcrit.flows import extend_to_conservative, to_group_element
 from simpcrit.generators import (
     bipyramid,
@@ -27,7 +27,6 @@ from simpcrit.trees import (
     NotATreeError,
     SpanningTree,
     TreeHasTorsionError,
-    _rank_and_torsion,
     as_spanning_tree,
     enumerate_trees,
     find_torsion_free_tree,
@@ -252,8 +251,9 @@ def test_stream_early_stop():
 def snf_torsion(comp, tree):
     """|H_{i-1}(tree)| as the product of the invariant factors of the
     tree's boundary columns: the per-leaf oracle."""
+    bd = comp.boundary_matrix(tree.dimension)
     cols = [comp.face_index(tree.dimension, f) for f in tree.top_faces]
-    return _rank_and_torsion(comp.boundary_matrix(tree.dimension), cols)[1]
+    return prod(invariant_factors(bd.submatrix(range(bd.rows), cols)))
 
 
 def stream_leaves(comp, i, *, budget=DEFAULT_BUDGET, stop=None):
@@ -554,6 +554,69 @@ def test_deep_trees_need_no_recursion():
     path = SimplicialComplex.from_facets([(v, v + 1) for v in range(1, 600)])
     census = enumerate_trees(path, 1)
     assert (census.count, census.tau, census.complete) == (1, 1, True)
+
+
+# ---- the first column basis of each boundary map --------------------------------
+
+def test_first_basis_is_the_first_maximal_independent_set():
+    # against a column_basis scan of every column; beta~_1 = 4 on
+    # LM(8, 0.3, 1), so its basis of d_2 is smaller than a 2-tree
+    lm = linial_meshulam(8, 0.3, 1)
+    comps = [SimplicialComplex.from_facets(RP2_FACETS), simplex_skeleton(6, 3), lm,
+             lm_moore(2, 5, 0.4, 1), lm_moore(3, 6, 0.4, 2)]
+    comps += [moore(m) for m in range(2, 6)]
+    for comp in comps:
+        for i in range(-1, comp.dim + 1):
+            bd = comp.boundary_matrix(i)
+            want = [j for j, _, taken in column_basis((j, bd.column(j)) for j in range(bd.cols))
+                    if taken]
+            assert list(comp._first_basis(i)) == want, (comp, i)
+    assert len(lm._first_basis(2)) == required_tree_size(lm, 2) - 4
+
+
+def test_first_basis_is_scanned_once_and_stops_at_the_rank(monkeypatch):
+    calls = [0]
+    eliminate = intlinalg.eliminate
+
+    def counting(*args):
+        calls[0] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(intlinalg, "eliminate", counting)
+    trees._rows_outside_basis(moore(30), 2)
+    assert calls[0] <= 7590
+    calls[0] = 0
+    m = moore(30)
+    find_torsion_free_tree(m, 1)
+    pi_product(m, 1)
+    trees._rows_outside_basis(m, 2)
+    assert calls[0] <= 7682
+    # a budget stops a fresh scan at the same column as ever
+    calls[0] = 0
+    with pytest.raises(BudgetExceededError):
+        find_torsion_free_tree(simplex_skeleton(14, 2), 2, budget=500)
+    assert calls[0] == 342
+
+
+def test_a_memoized_first_basis_charges_its_cost():
+    # a memo hit charges the scan's whole cost at once, so a budget
+    # refuses the memoized first tree exactly when a fresh scan would
+    comp = simplex_skeleton(8, 2)
+    tree = find_torsion_free_tree(comp, 2)
+    charged = []
+    basis = comp._first_basis(2, charged.append)
+    assert basis == tuple(comp.face_index(2, f) for f in tree.top_faces)
+    (cost,) = charged
+    with pytest.raises(BudgetExceededError):
+        find_torsion_free_tree(comp, 2, budget=cost - 1)
+    assert find_torsion_free_tree(comp, 2, budget=cost) == tree
+    # a scan that runs out stores nothing: the next one charges column by column
+    fresh = simplex_skeleton(8, 2)
+    with pytest.raises(BudgetExceededError):
+        find_torsion_free_tree(fresh, 2, budget=cost - 1)
+    charged.clear()
+    assert fresh._first_basis(2, charged.append) == basis
+    assert len(charged) > 1 and sum(charged) == cost
 
 
 # ---- matrix-tree identities ------------------------------------------------------
