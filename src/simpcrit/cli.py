@@ -118,11 +118,8 @@ def _resolve_tree(comp, dim, spec):
         if tree is None:
             raise HypothesisError(_NO_TREE)
         return tree
-    faces = sorted({make_face(f) for f in load_facet_file(spec)})
-    for f in faces:
-        comp.face_index(dim, f)  # an unknown face is an input error
     try:
-        return as_spanning_tree(comp, dim, faces)
+        return as_spanning_tree(comp, dim, load_facet_file(spec))
     except NotATreeError:
         raise NotATreeError(f"{spec}: the listed faces are not a spanning tree") from None
 

@@ -148,23 +148,31 @@ class SimplicialComplex:
             ("boundary_factors", i), lambda: invariant_factors(self.boundary_matrix(i))
         )
 
+    def _cycle_rank(self, i) -> int:
+        """f_i - rank(boundary_i), the dimension of ker boundary_i."""
+        return len(self.faces(i)) - len(self._boundary_factors(i))
+
     def _first_basis(self, i, charge=None) -> tuple:
         """Indices of the first column basis of boundary_i, scanned in index
-        order once per complex and stopped at its rank(boundary_i)-th column.
+        order once per complex.  Its columns lie in ker boundary_{i-1}, whose
+        dimension bounds rank(boundary_i), equal iff beta~_{i-1} = 0; the scan
+        stops there or at the last column, with the same basis either way (no
+        column is taken after the rank-th), and factors only boundary_{i-1}.
         ``charge`` gets each fresh column's reductions, or their stored total
         on a memo hit, and may raise; a scan that raises stores nothing."""
         key = ("first_basis", i)
         if key not in self._memo:
             bd = self.boundary_matrix(i)
+            bound = self._cycle_rank(i - 1) if i >= 0 else 0
             basis, cost = [], 0
-            scan = column_basis((j, bd.column(j)) for j in range(bd.cols))
-            while len(basis) < len(self._boundary_factors(i)):
-                j, steps, taken = next(scan)
+            for j, steps, taken in column_basis((j, bd.column(j)) for j in range(bd.cols)):
                 cost += steps
                 if charge is not None:
                     charge(steps)
                 if taken:
                     basis.append(j)
+                    if len(basis) == bound:
+                        break
             self._memo[key] = tuple(basis), cost
         elif charge is not None:
             charge(self._memo[key][1])
@@ -180,8 +188,7 @@ class SimplicialComplex:
 
         def build():
             up = self._boundary_factors(i + 1) if i < self.dim else ()
-            betti = len(self._faces[i]) - len(up) - len(self._boundary_factors(i))
-            return AbelianGroup(betti, tuple(f for f in up if f > 1))
+            return AbelianGroup(self._cycle_rank(i) - len(up), tuple(f for f in up if f > 1))
 
         return self._memoized(("homology", i), build)
 

@@ -79,7 +79,7 @@ def reduced_laplacian(comp: SimplicialComplex, i, tree) -> IntMatrix:
     Rows and columns follow the lexicographic order of the complement.
     ``tree`` may be a SpanningTree or an iterable of i-faces; it is
     checked once per complex (``as_spanning_tree``), and NotATreeError is
-    raised on failure.
+    raised if it is not one.
     """
     theta = _theta_indices(comp, i, as_spanning_tree(comp, i, tree))
     return laplacian(comp, i).submatrix(theta, theta)
@@ -202,9 +202,9 @@ def verify_simplex_structure(n, k) -> SimplexStructureReport:
     star = [f for f in comp.faces(k - 1) if 1 in f]
     top = reduced_laplacian(comp, k - 1, star)
     m = top.rows
-    keep_high = [r for r, f in enumerate(comp.faces(k + 1)) if 1 in f]
     bd = comp.boundary_matrix(k + 1)
-    down_up = (bd.transpose() * bd).submatrix(keep_high, keep_high)
+    kept = bd.submatrix(range(bd.rows), [r for r, f in enumerate(comp.faces(k + 1)) if 1 in f])
+    down_up = kept.transpose() * kept
     size = aat.rows
     blocks_ok = (
         aat.submatrix(range(m), range(m)) == top

@@ -61,9 +61,6 @@ class GroupElement:
             tuple((a + b) % m for a, b, m in zip(self.residues, other.residues, self.moduli)),
         )
 
-    def __neg__(self):
-        return GroupElement(self.moduli, tuple((-a) % m for a, m in zip(self.residues, self.moduli)))
-
     @property
     def is_identity(self):
         return not any(self.residues)

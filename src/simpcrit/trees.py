@@ -94,7 +94,7 @@ def required_tree_size(comp: SimplicialComplex, i) -> int:
     On the i-skeleton f_i - beta_i = rank d_i and beta_{i-1} =
     f_{i-1} - rank d_{i-1} - rank d_i, so this is f_{i-1} - rank d_{i-1}.
     """
-    return len(comp.faces(i - 1)) - len(comp._boundary_factors(i - 1))
+    return comp._cycle_rank(i - 1)
 
 
 def _check_dim(comp, i):
@@ -123,17 +123,14 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
 def as_spanning_tree(comp, i, tree) -> SpanningTree:
     """Coerce a SpanningTree or an iterable of i-faces, checked once per
     (complex, i, face set).  The checked tree is returned, never the
-    caller's torsion order; a failed check raises NotATreeError, and only
-    an unknown face or a bad dimension is not remembered."""
+    caller's torsion order.  A failed check raises NotATreeError; an unknown
+    face or a bad dimension raises ValueError and is not remembered."""
     if isinstance(tree, SpanningTree):
         if tree.dimension != i:
             raise NotATreeError(f"tree has dimension {tree.dimension}, expected {i}")
         tree = tree.top_faces
-    try:
-        faces = tuple(sorted({make_face(f) for f in tree}))
-        checked = comp._memoized(("tree", i, faces), lambda: is_spanning_tree(comp, i, faces))
-    except ValueError as exc:
-        raise NotATreeError(str(exc)) from None
+    faces = tuple(sorted({make_face(f) for f in tree}))
+    checked = comp._memoized(("tree", i, faces), lambda: is_spanning_tree(comp, i, faces))
     if checked is None:
         raise NotATreeError(f"not a {i}-dimensional spanning tree of the complex")
     return checked

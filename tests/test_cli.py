@@ -101,6 +101,7 @@ INPUT_ERRORS = [
     (("--facets", "missing.txt", "info"),
      f"cannot read facet file: [Errno 2] {os.strerror(errno.ENOENT)}: 'missing.txt'"),
     (("--facets", "bad.txt", "info"), "bad.txt:1: not an integer list: '1 two 3'"),
+    (("--facets", "empty.txt", "info"), "empty.txt: no facets found"),
     (("--gen", "cycle 2", "info"), "a cycle needs at least 3 vertices"),
     (("--gen", "moore 1", "info"), "a Moore space needs m >= 2"),
     (("--gen", "dodecahedron", "info"), "unrecognized generator spec 'dodecahedron'"),
@@ -147,6 +148,7 @@ INPUT_ERRORS = [
 def test_input_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("1 two 3\n")
+    (tmp_path / "empty.txt").write_text("# comments and blank lines only\n\n")
     (tmp_path / "two_edges.txt").write_text("1 2\n3 4\n")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")

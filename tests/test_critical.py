@@ -395,6 +395,15 @@ def test_pi_product_without_a_tree():
     assert pi_product(lm, 2) == pdet_by_char_poly(laplacian(lm, 1))
 
 
+def test_pi_product_factors_only_the_map_below():
+    # beta~_1 = 0, so the first basis of d_2 stops at dim ker d_1 = rank d_2:
+    # pi_2 factors d_1 (16 x 120) and never d_2 (120 x 220)
+    lm = linial_meshulam(16, 0.4, 1)
+    pi = pi_product(lm, 2)
+    assert ("boundary_factors", 2) not in lm._memo
+    assert pi == pdet_by_char_poly(laplacian(lm, 1))
+
+
 def test_pi_product_divides_by_a_nonunit_minor():
     # the square minor d_RT of d_2 is 2 on RP^2 and the coned RP^2, so
     # the division by its square is not a division by 1

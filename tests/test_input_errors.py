@@ -1,0 +1,84 @@
+"""Input errors of the library: each is a plain ValueError with one message,
+never a HypothesisError (which means the input is outside a theorem)."""
+
+import re
+
+import pytest
+
+from simpcrit import (
+    ChipState,
+    GroupElement,
+    IntMatrix,
+    alternating_order,
+    bipyramid,
+    complete_graph,
+    critical_group_reduced,
+    cycle,
+    enumerate_trees,
+    extend_to_conservative,
+    fire,
+    laplacian,
+    reduced_laplacian,
+    simplex_skeleton,
+    sphere,
+    to_group_element,
+    verify_smtt,
+)
+from simpcrit.generators import from_spec
+from simpcrit.intlinalg import char_poly
+
+B = bipyramid()  # f = (1, 5, 9, 7), dimension 2
+TREE = [(1, 2), (1, 3), (1, 4), (1, 5)]  # a torsion-free 1-tree; 5 edges outside it
+C5 = cycle(5)
+
+# (id, call, exception type, message)
+ERRORS = [
+    ("faces", lambda: B.faces(3), ValueError, "dimension 3 out of range [-1, 2]"),
+    ("reduced_homology", lambda: B.reduced_homology(-2), ValueError,
+     "dimension -2 out of range [-1, 2]"),
+    ("skeleton", lambda: B.skeleton(3), ValueError, "skeleton dimension 3 out of range [0, 2]"),
+    ("laplacian", lambda: laplacian(B, 3), ValueError, "dimension 3 out of range [-1, 2]"),
+    ("critical_group_reduced", lambda: critical_group_reduced(B, 2, TREE), ValueError,
+     "dimension 2 out of range [0, 2)"),
+    ("alternating_order", lambda: alternating_order(B, 2), ValueError,
+     "dimension 2 out of range [0, 2)"),
+    ("verify_smtt", lambda: verify_smtt(B, 0), ValueError, "dimension 0 out of range [1, 2]"),
+    ("enumerate_trees", lambda: enumerate_trees(B, B.dim + 1), ValueError,
+     "dimension 3 out of range [0, 2]"),
+    # an unknown face is an input error, not a failed tree check
+    ("unknown tree face", lambda: reduced_laplacian(B, 1, [(1, 2), (1, 9)]), ValueError,
+     "(1, 9) is not a 1-face of the complex"),
+    ("fire", lambda: fire(B, 1, [0, 0, 0], (1, 2)), ValueError,
+     "configuration has length 3, expected 9"),
+    ("extend_to_conservative", lambda: extend_to_conservative(B, 1, TREE, [0]), ValueError,
+     "theta has length 1, expected 5"),
+    ("to_group_element", lambda: to_group_element(B, 1, TREE, [0]), ValueError,
+     "expected a configuration of length 9 or 5"),
+    ("GroupElement +", lambda: GroupElement((2,), (1,)) + GroupElement((3,), (1,)), ValueError,
+     "group elements live in different groups"),
+    ("ChipState +", lambda: ChipState(C5, 5, (0,) * 4) + ChipState(C5, 4, (0,) * 4), ValueError,
+     "chip states live on different games"),
+    ("complete_graph", lambda: complete_graph(1), ValueError,
+     "a complete graph needs at least 2 vertices"),
+    ("simplex_skeleton n", lambda: simplex_skeleton(0, 0), ValueError, "need at least one vertex"),
+    ("simplex_skeleton k", lambda: simplex_skeleton(3, 3), ValueError,
+     "skeleton dimension must lie in [0, 2]"),
+    ("sphere", lambda: sphere(-1), ValueError, "sphere dimension must be nonnegative"),
+    ("from_spec empty", lambda: from_spec(""), ValueError, "empty generator spec"),
+    ("from_spec non-integer", lambda: from_spec("cycle x"), ValueError,
+     "non-integer parameter in generator spec 'cycle x'"),
+    ("IntMatrix.apply", lambda: IntMatrix(2, 2).apply([1]), ValueError,
+     "vector length does not match column count"),
+    ("IntMatrix *", lambda: IntMatrix(2, 3) * IntMatrix(2, 3), ValueError,
+     "incompatible shapes for matrix product"),
+    ("char_poly", lambda: char_poly(IntMatrix(2, 3)), ValueError,
+     "characteristic polynomial of a non-square matrix"),
+]
+
+
+@pytest.mark.parametrize("call,exc_type,message", [row[1:] for row in ERRORS],
+                         ids=[row[0] for row in ERRORS])
+def test_input_errors_raise_one_plain_error(call, exc_type, message):
+    with pytest.raises(exc_type, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is exc_type

@@ -574,7 +574,7 @@ def test_first_basis_is_the_first_maximal_independent_set():
     assert len(lm._first_basis(2)) == required_tree_size(lm, 2) - 4
 
 
-def test_first_basis_is_scanned_once_and_stops_at_the_rank(monkeypatch):
+def test_first_basis_is_scanned_once_and_stops_at_dim_ker_below(monkeypatch):
     calls = [0]
     eliminate = intlinalg.eliminate
 
