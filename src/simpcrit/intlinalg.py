@@ -18,19 +18,24 @@ path but ``pseudo_determinant`` runs Bareiss.
 
 Matrices are dense.  Invariant factors, cokernels and ranks first
 eliminate +-1 pivots in a private sparse form, since the boundary maps
-and Laplacians of complexes are sparse and almost unimodular.  What is
-left is diagonalized with no divisibility condition, by Euclid down a
-column and along a row, and a gcd/lcm pass turns the diagonal into the
-invariant factors.  Invariant factors are unique, so this path is free
-to pick its own pivots.  The Smith form with transforms is not: its U
-and V, and so the group coordinates the flows module reads from U, are
-canonical only for its fixed min-|value| pivot rule.
+and Laplacians of complexes are sparse and almost unimodular.  Each
+pivot is taken from the shortest row that holds a +-1, in the sparsest
+of that row's +-1 columns, and a heap of row lengths finds that row
+without rescanning the matrix.  What is left is diagonalized with no divisibility
+condition, by Euclid down a column and along a row, and a gcd/lcm pass
+turns the diagonal into the invariant factors.  Invariant factors are
+unique (each d_1 ... d_k is the gcd of the k x k minors, which no
+unimodular step changes), so this path is free to pick its own pivots.
+The Smith form with transforms is not: its U and V, and so the group
+coordinates the flows module reads from U, are canonical only for its
+fixed min-|value| pivot rule, which it keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
 
@@ -325,10 +330,16 @@ def _eliminate_unit_pivots(a_data):
 
     A unit pivot p at (r, c) leaves the cokernel unchanged when row r and
     column c are replaced by the Schur complement A - A[:, c] * p * A[r, :],
-    and it contributes one invariant factor 1.  Pivots are taken by least
-    Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), ties to the
-    lowest (row, col), until no entry is +-1; zero rows and columns drop
-    out.  Returns the pivot count and the dense rows of what is left.
+    and it contributes one invariant factor 1.  Invariant factors are
+    unique, so any pivot order gives the same ones; this one keeps fill-in
+    low without rescanning the matrix.  A heap of (row length, row) is
+    built once, and each row a Schur update changes is pushed again.  Each
+    step pops the shortest live row (an entry is stale once its row is
+    gone or its length has changed) and pivots on its +-1 in the column
+    with the fewest nonzeros, ties to the lowest column; a row with no +-1
+    is dropped until an update pushes it again.  So when the heap is empty
+    no entry is +-1.  Zero rows and columns drop out.  Returns the pivot
+    count and the dense rows of what is left.
     """
     rows = {}  # row -> {col: nonzero value}, ascending row order
     cols = {}  # col -> set of rows with a nonzero there
@@ -338,23 +349,19 @@ def _eliminate_unit_pivots(a_data):
             rows[r] = sparse
             for c in sparse:
                 cols.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapify(heap)
     units = 0
-    while True:
-        # rows are scanned in ascending order, so only a pivot in the same
-        # row can tie with the best one and win on a lower column
-        best = -1
-        for r, row in rows.items():
-            others = len(row) - 1
-            for c, x in row.items():
-                if x == 1 or x == -1:
-                    cost = others * (len(cols[c]) - 1)
-                    if best < 0 or cost < best or (cost == best and r == pr and c < pc):
-                        best, pr, pc = cost, r, c
-            if best == 0:
-                break
-        if best < 0:
-            break
-        prow = rows.pop(pr)
+    while heap:
+        length, pr = heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != length:
+            continue
+        unit_cols = [(len(cols[c]), c) for c, x in prow.items() if x == 1 or x == -1]
+        if not unit_cols:
+            continue
+        pc = min(unit_cols)[1]
+        del rows[pr]
         p = prow.pop(pc)
         for cc in prow:
             cols[cc].discard(pr)
@@ -371,7 +378,9 @@ def _eliminate_unit_pivots(a_data):
                 else:
                     del srow[cc]
                     cols[cc].discard(s)
-            if not srow:
+            if srow:
+                heappush(heap, (len(srow), s))
+            else:
                 del rows[s]
         for cc in prow:
             if not cols[cc]:

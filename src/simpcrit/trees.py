@@ -94,6 +94,7 @@ def required_tree_size(comp: SimplicialComplex, i) -> int:
     On the i-skeleton f_i - beta_i = rank d_i and beta_{i-1} =
     f_{i-1} - rank d_{i-1} - rank d_i, so this is f_{i-1} - rank d_{i-1}.
     """
+    _check_dim(comp, i)
     return comp._cycle_rank(i - 1)
 
 

@@ -19,6 +19,7 @@ from simpcrit import (
     fire,
     laplacian,
     reduced_laplacian,
+    required_tree_size,
     simplex_skeleton,
     sphere,
     to_group_element,
@@ -45,6 +46,13 @@ ERRORS = [
     ("verify_smtt", lambda: verify_smtt(B, 0), ValueError, "dimension 0 out of range [1, 2]"),
     ("enumerate_trees", lambda: enumerate_trees(B, B.dim + 1), ValueError,
      "dimension 3 out of range [0, 2]"),
+    # no i-faces above the dimension, and the message names the caller's i
+    ("required_tree_size -1", lambda: required_tree_size(B, -1), ValueError,
+     "dimension -1 out of range [0, 2]"),
+    ("required_tree_size 3", lambda: required_tree_size(B, 3), ValueError,
+     "dimension 3 out of range [0, 2]"),
+    ("required_tree_size 4", lambda: required_tree_size(B, 4), ValueError,
+     "dimension 4 out of range [0, 2]"),
     # an unknown face is an input error, not a failed tree check
     ("unknown tree face", lambda: reduced_laplacian(B, 1, [(1, 2), (1, 9)]), ValueError,
      "(1, 9) is not a 1-face of the complex"),

@@ -6,8 +6,13 @@ from math import gcd, prod
 
 import pytest
 
+from simpcrit.complexes import SimplicialComplex
+from simpcrit.critical import laplacian, reduced_laplacian
 from simpcrit.intlinalg import (
     IntMatrix,
+    _diagonalize,
+    _eliminate_unit_pivots,
+    _normalize_diagonal,
     char_poly,
     cokernel,
     determinant,
@@ -17,6 +22,7 @@ from simpcrit.intlinalg import (
     rank,
     smith_normal_form,
 )
+from simpcrit.trees import find_torsion_free_tree
 
 
 # ---- oracles -------------------------------------------------------------
@@ -270,6 +276,39 @@ def test_invariant_factors_differential_sparse():
     for shape in ((0, 5), (5, 0), (0, 0)):
         assert invariant_factors(IntMatrix(*shape)) == ()
         assert rank(IntMatrix(*shape)) == 0
+
+
+def check_unit_elimination(a):
+    """The sparse phase stops only when no entry is +-1, and its pivot
+    count plus the dense phase's factors are the Smith form's."""
+    units, rest = _eliminate_unit_pivots(a.data)
+    assert not any(x in (1, -1) for row in rest for x in row)
+    assert (1,) * units + _normalize_diagonal(_diagonalize(rest)) == smith_normal_form(a).d
+
+
+def test_unit_elimination_leaves_no_unit():
+    rng = random.Random(20261019)
+    for trial in range(60):
+        m, n = rng.randint(1, 30), rng.randint(1, 30)
+        values = ((-1, 1), (-3, -1, 1, 1, 2, 5), (-2, -1, 2, 3))[trial % 3]
+        check_unit_elimination(sparse_matrix(rng, m, n, rng.uniform(0.05, 0.4), values))
+    # seeded Linial-Meshulam complexes, as in test_acceptance: all edges,
+    # and each triangle kept with probability p; K_1 has torsion on each
+    for n, p, seed in ((6, 0.5, 3), (8, 0.3, 1), (9, 0.3, 1), (10, 0.2, 2)):
+        tri_rng = random.Random(seed)
+        tris = [t for t in combinations(range(1, n + 1), 3) if tri_rng.random() < p]
+        comp = SimplicialComplex.from_facets(list(combinations(range(1, n + 1), 2)) + tris)
+        check_unit_elimination(laplacian(comp, 1))
+        check_unit_elimination(reduced_laplacian(comp, 1, find_torsion_free_tree(comp, 1)))
+
+
+def test_unit_elimination_revisits_updated_rows():
+    # row 1 is the shortest and is popped first, with no unit; pivoting on
+    # (0, 0) turns it into [0, -1, -10], whose -1 is found only because
+    # the update pushes row 1 again
+    a = IntMatrix(2, 3, [[1, 2, 5], [2, 3, 0]])
+    assert _eliminate_unit_pivots(a.data) == (2, [])
+    check_unit_elimination(a)
 
 
 def test_invariant_factors_of_diagonals():
