@@ -7,14 +7,16 @@ of Laplacian columns are equivalent, and the canonical coordinates of an
 equivalence class are residues modulo the invariant factors of the
 reduced Laplacian of a chosen torsion-free tree.
 
-Each cokernel map costs one Smith form with transforms, paid lazily on
-first use and memoized on the complex in one of two shapes: the rows of
-U that cut out the image (``_cokernel_rows``), once per dimension for
-``equivalent`` and once per (dimension, tree) for ``to_group_element``;
-and the Smith form itself, whose V ``extend_to_conservative`` needs, once
-per (dimension, tree).  A tree is checked once per complex too
-(``as_spanning_tree``), so every later query is a few matrix-vector
-products.  The chip game is likewise built once per (complex, bank).
+Each cokernel map costs one Smith form, paid lazily on first use and
+memoized on the complex in one of two shapes: the rows of U that cut out
+the image (``_cokernel_rows``), once per dimension for ``equivalent`` and
+once per (dimension, tree) for ``to_group_element``; and the Smith form
+itself, which ``extend_to_conservative`` solves with, once per
+(dimension, tree).  No transform matrix is built: only the rows read are
+taken off the Smith form's operation log, and a solve passes over the
+logs.  A tree is checked once per complex too (``as_spanning_tree``), so
+every later query is a few dot products or log passes.  The chip game is
+likewise built once per (complex, bank).
 
 In dimension > 0 no canonical notion of stability is known, so firing
 there is exposed as pure linear algebra only; the stable / recurrent /
@@ -35,7 +37,7 @@ from operator import mul
 
 from .complexes import SimplicialComplex, make_face
 from .critical import _theta_indices, laplacian, reduced_laplacian
-from .intlinalg import _solve, smith_normal_form
+from .intlinalg import _apply_log, _solve, smith_normal_form
 from .trees import HypothesisError, as_spanning_tree, require_torsion_free
 
 
@@ -135,13 +137,19 @@ def _cokernel_rows(comp, key, matrix):
     """(d, (j, row j of U mod d_j, d_j) for each d_j > 1, the exact rows of U
     beyond the rank) of the Smith form U * A * V = diag(d) of A = matrix(),
     memoized on the complex under ``key``.  w lies in the image of A iff
-    (U w)_j is divisible by d_j below the rank and zero beyond it."""
+    (U w)_j is divisible by d_j below the rank and zero beyond it.  One
+    Smith form, then only these rows, read off its row log (``_apply_log``);
+    U itself is never built."""
 
     def build():
         s = smith_normal_form(matrix())
-        u = s.u.data
-        torsion = tuple((j, tuple(x % d for x in u[j]), d) for j, d in enumerate(s.d) if d > 1)
-        return s.d, torsion, u[s.rank:]
+        m = s.shape[0]
+
+        def row(j, mod=0):
+            return _apply_log(s.row_log, [int(k == j) for k in range(m)], back=True, mod=mod)
+
+        torsion = tuple((j, tuple(x % d for x in row(j, d)), d) for j, d in enumerate(s.d) if d > 1)
+        return s.d, torsion, [row(j) for j in range(s.rank, m)]
 
     return comp._memoized(key, build)
 

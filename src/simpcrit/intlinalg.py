@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
 Everything here works over Z with Python's arbitrary-precision ints:
-Smith normal form with unimodular transforms replayed from its operation
-log, fraction-free (Bareiss) determinants, pseudo-determinants, cokernels
-of integer maps as finitely generated abelian groups, and integer linear
-solving via the Smith transforms.
+Smith normal form with its operation log, fraction-free (Bareiss)
+determinants, pseudo-determinants, cokernels of integer maps as finitely
+generated abelian groups, and integer linear solving via the Smith
+transforms, applied as passes over the log.
 
 A pseudo-determinant (the product of the nonzero eigenvalues of a
 symmetric matrix L) comes from a basis B of L's own columns: L maps
@@ -28,7 +28,11 @@ unique (each d_1 ... d_k is the gcd of the k x k minors, which no
 unimodular step changes), so this path is free to pick its own pivots.
 The Smith form with transforms is not: its U and V, and so the group
 coordinates the flows module reads from U, are canonical only for its
-fixed min-|value| pivot rule, which it keeps.
+fixed min-|value| pivot rule, which it keeps.  When it takes the pivot
+at (t, t), the rows above t are finished and zero in every column >= t,
+so its clearing steps touch only the nonzeros of row and column t.  A
+row of U, U * v and V * y are each one pass over a log
+(``_apply_log``); U and V are replayed as matrices only when read.
 """
 
 from __future__ import annotations
@@ -152,7 +156,9 @@ class SmithForm:
 
     The elimination of A (of ``shape`` m x n) only logs its row and column
     operations; each transform is replayed from a log when first read, a
-    column operation on A being the same row operation on V^T.
+    column operation on A being the same row operation on V^T.  The
+    library itself reads rows of U and the products U * v and V * y off
+    the logs (``_apply_log``) and builds none of the four.
     """
 
     d: tuple
@@ -223,40 +229,52 @@ def _replay(log, size, undo=False):
     return m
 
 
+def _apply_log(log, v, back=False, mod=0):
+    """v, a list changed in place and returned, under a logged operation
+    sequence E_1..E_k (each an (i, k, q) of ``_replay``).
+
+    Forward this is E_k...E_1 * v: (i, k, q) adds q * v[k] to v[i], so a
+    row log gives U * v.  ``back`` runs the transposed operations last
+    first, (i, k, q) adding q * v[i] to v[k], which gives v^T E_k...E_1:
+    row j of U from e_j and the row log.  Column operations act on the
+    right (V = E_1...E_k), so the same backward pass over the column log
+    gives V * y.  A swap swaps and a negation negates either way.  The
+    backward pass with ``mod`` reduces each entry it adds to modulo
+    ``mod``.
+    """
+    if not back:
+        for i, k, q in log:
+            if q is None:
+                v[i], v[k] = v[k], v[i]
+            elif k is None:
+                v[i] = -v[i]
+            elif v[k]:
+                v[i] += q * v[k]
+        return v
+    for i, k, q in reversed(log):
+        if q is None:
+            v[i], v[k] = v[k], v[i]
+        elif k is None:
+            v[i] = -v[i]
+        elif v[i]:
+            v[k] = (v[k] + q * v[i]) % mod if mod else v[k] + q * v[i]
+    return v
+
+
 def _snf_engine(a_data, m, n, row_log, col_log):
     """The invariant factors of the m x n a_data, which is not changed;
     each row and column operation is appended to ``row_log`` or
-    ``col_log`` for ``_replay``."""
+    ``col_log``.
+
+    When the pivot at (t, t) is taken, the rows above t are finished and
+    zero in every column >= t, and the rows from t on are zero in every
+    column < t.  So a clearing pass touches only what can change: a row
+    step adds the pivot row's nonzero columns, listed once per pass; a
+    column step visits the rows >= t that are nonzero in column t; a
+    column swap skips the rows above t; and a unit pivot divides every
+    entry, so it needs no divisibility scan.
+    """
     A = [row[:] for row in a_data]
-
-    def swap_rows(i, k):
-        A[i], A[k] = A[k], A[i]
-        row_log.append((i, k, None))
-
-    def add_row(i, k, q):
-        # row i += q * row k
-        Ai, Ak = A[i], A[k]
-        for j in range(n):
-            if Ak[j]:
-                Ai[j] += q * Ak[j]
-        row_log.append((i, k, q))
-
-    def neg_row(i):
-        A[i] = [-x for x in A[i]]
-        row_log.append((i, None, -1))
-
-    def swap_cols(j, k):
-        for r in A:
-            r[j], r[k] = r[k], r[j]
-        col_log.append((j, k, None))
-
-    def add_col(j, k, q):
-        # col j += q * col k
-        for r in A:
-            if r[k]:
-                r[j] += q * r[k]
-        col_log.append((j, k, q))
-
     t = 0
     dim = min(m, n)
     while t < dim:
@@ -266,46 +284,55 @@ def _snf_engine(a_data, m, n, row_log, col_log):
         while True:
             pi, pj = p
             if pi != t:
-                swap_rows(pi, t)
+                A[pi], A[t] = A[t], A[pi]
+                row_log.append((pi, t, None))
             if pj != t:
-                swap_cols(pj, t)
-            if A[t][t] < 0:
-                neg_row(t)
-            piv = A[t][t]
+                for i in range(t, m):
+                    r = A[i]
+                    r[pj], r[t] = r[t], r[pj]
+                col_log.append((pj, t, None))
+            At = A[t]
+            if At[t] < 0:
+                A[t] = At = [-x for x in At]
+                row_log.append((t, None, -1))
+            piv = At[t]
+            # the row steps leave row t alone, and a column step changes
+            # only the entry of row t that it clears
+            nz = [(j, x) for j, x in enumerate(At) if x]
             dirty = False
             for i in range(t + 1, m):
-                a = A[i][t]
+                Ai = A[i]
+                a = Ai[t]
                 if a:
                     q = a // piv
                     if q:
-                        add_row(i, t, -q)
-                    if A[i][t]:
+                        for j, x in nz:
+                            Ai[j] -= q * x
+                        row_log.append((i, t, -q))
+                    if Ai[t]:
                         dirty = True
-            for j in range(t + 1, n):
-                a = A[t][j]
-                if a:
+            col = [A[i] for i in range(t, m) if A[i][t]]
+            for j, a in nz:
+                if j > t:
                     q = a // piv
                     if q:
-                        add_col(j, t, -q)
-                    if A[t][j]:
+                        for r in col:
+                            r[j] -= q * r[t]
+                        col_log.append((j, t, -q))
+                    if At[j]:
                         dirty = True
             if dirty:
                 # a remainder smaller than the pivot survived; re-pivot on it
                 p = _select_pivot(A, t, m, n)
                 continue
-            viol = -1
-            for r in range(t + 1, m):
-                Ar = A[r]
-                for c in range(t + 1, n):
-                    if Ar[c] % piv:
-                        viol = r
-                        break
-                if viol >= 0:
-                    break
-            if viol < 0:
+            if piv == 1:
+                break
+            viol = next((i for i in range(t + 1, m) if any(x % piv for x in A[i])), None)
+            if viol is None:
                 break
             # fold the offending row into row t; the next pass shrinks the pivot
-            add_row(t, viol, 1)
+            A[t] = [x + y for x, y in zip(At, A[viol])]
+            row_log.append((t, viol, 1))
             p = t, t
         t += 1
     # each pivot is positive, and later steps never touch it
@@ -313,8 +340,8 @@ def _snf_engine(a_data, m, n, row_log, col_log):
 
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular transforms and their inverses,
-    each replayed from the elimination's log when first read.
+    """Smith normal form with its row and column logs; the unimodular
+    transforms and their inverses are replayed from them when first read.
 
     Deterministic: the pivot is always the nonzero entry of minimal
     absolute value, ties broken by lowest (row, col).
@@ -618,7 +645,11 @@ def lattice_membership(a: IntMatrix, v):
     """An integer x with a*x = v, or None if v is outside the column lattice.
 
     Uses the Smith transforms: with U*A*V = D and w = U*v, a solution
-    exists iff d_j | w_j for j < rank and w_j = 0 beyond the rank.
+    exists iff d_j | w_j for j < rank and w_j = 0 beyond the rank.  U * v
+    and V * y are one pass each over the elimination's logs, so neither
+    transform is built.  Each logged step touches only its pivot's row
+    and column: the rows above the pivot are finished, zero in every
+    later column.
     """
     v = [int(x) for x in v]
     if len(v) != a.rows:
@@ -629,13 +660,13 @@ def lattice_membership(a: IntMatrix, v):
 def _solve(s: SmithForm, v):
     """``lattice_membership`` for the matrix whose Smith form is s, so that
     callers that solve many times with one matrix pay its Smith form once."""
-    w = s.u.apply(v)
-    y = [0] * s.v.rows
+    w = _apply_log(s.row_log, list(v))
+    y = [0] * s.shape[1]
     for j, dj in enumerate(s.d):
         q, r = divmod(w[j], dj)
         if r:
             return None
         y[j] = q
-    if any(w[j] for j in range(s.rank, s.u.rows)):
+    if any(w[s.rank:]):
         return None
-    return s.v.apply(y)
+    return _apply_log(s.col_log, y, back=True)
