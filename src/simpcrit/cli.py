@@ -94,11 +94,11 @@ def load_facet_file(path):
 
 
 def _load_complex(args):
-    if args.gen and args.facets:
+    if args.gen is not None and args.facets is not None:
         raise ValueError("give either --gen or --facets, not both")
-    if args.gen:
+    if args.gen is not None:
         return generators.from_spec(args.gen), f"gen {args.gen}"
-    if args.facets:
+    if args.facets is not None:
         return SimplicialComplex.from_facets(load_facet_file(args.facets)), f"file {args.facets}"
     raise ValueError("no complex given: use --gen SPEC or --facets FILE")
 

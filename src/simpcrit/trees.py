@@ -1,8 +1,9 @@
 """Simplicial spanning trees.
 
 Recognition, one lexicographic depth-first search with rank-based
-pruning (the exhaustive census, and the first torsion-free tree at its
-first such leaf), and torsion-weighted counts tau_i.  The matrix-tree
+pruning (the exhaustive census), the first torsion-free tree (the
+complex's first basis of d_i, the census's first leaf, unless that has
+torsion), and torsion-weighted counts tau_i.  The matrix-tree
 identities that tie tau_i to the Laplacians are checked in ``critical``.
 
 An i-dimensional spanning tree of a complex is determined by its set of
@@ -146,38 +147,38 @@ def require_torsion_free(tree: SpanningTree) -> SpanningTree:
 
 
 def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
-    """The first torsion-free i-tree in lexicographic order of face indices.
-
-    ``budget`` counts the tree search's column reductions from the first
-    one on.  Its first leaf, the lexicographically first basis, costs at
-    most (tree size) x (index of its last face) extensions: 274,170 for
-    the 741-face first 2-tree of ``simplex_skeleton(40, 2)``.  Returns
-    the census's first torsion-free leaf, or None (with no budget spent
-    if beta~_{i-1} != 0); raises BudgetExceededError when the budget runs
-    out before one is found.
+    """The first torsion-free i-tree in lexicographic order of face indices:
+    the census's first torsion-free leaf, or None (with no budget spent if
+    beta~_{i-1} != 0).  The first leaf is the complex's first basis of d_i,
+    read under ``budget``: at most (tree size) x (index of its last face)
+    extensions, 274,170 for the 741-face first 2-tree of
+    ``simplex_skeleton(40, 2)``.  Only if it has torsion does the census
+    run, counting from zero again.  Raises BudgetExceededError when the
+    budget runs out before an answer.
     """
     _check_dim(comp, i)
-    found = []
-
-    def grab(t):
-        if t.torsion_order == 1:
-            found.append(t)
-            return True
-        return False
-
-    # the full search, counting extensions from zero again, runs only if
-    # the first leaf, the complex's first basis of d_i, has torsion
-    census = _search(comp, i, budget, grab, descend=True)
-    if census.count and not found:
-        census = _search(comp, i, budget, grab)
-    if found:
-        return found[0]
-    if not census.complete:
-        raise BudgetExceededError(
-            f"enumeration budget of {budget} extensions exceeded "
-            f"before a torsion-free {i}-tree was found"
+    if comp.reduced_homology(i - 1).betti:
+        return None
+    try:
+        basis = comp._first_basis(i, _EnumState(comp, i, budget, None).charge)
+    except BudgetExceededError:
+        pass
+    else:
+        first = as_spanning_tree(comp, i, [comp.faces(i)[j] for j in basis])
+        if first.torsion_order == 1:
+            return first
+        found = []
+        census = enumerate_trees(
+            comp, i, budget=budget, on_tree=lambda t: t.torsion_order == 1 and not found.append(t)
         )
-    return None
+        if found:
+            return found[0]
+        if census.complete:
+            return None
+    raise BudgetExceededError(
+        f"enumeration budget of {budget} extensions exceeded "
+        f"before a torsion-free {i}-tree was found"
+    )
 
 
 class _EnumState:
@@ -252,7 +253,7 @@ def _dfs(state, root, width):
     The lanes never carry.  Every lane the search decodes (a, c, a leaf)
     is a minor of order at most ``need`` of the root, whose columns have
     entries 0, +-1 and at most i + 1 nonzeros, so Hadamard's bound gives
-    |minor| <= (i + 1)^(need/2) < 2^(width - 1) (see ``_search``).  The
+    |minor| <= (i + 1)^(need/2) < 2^(width - 1) (see ``enumerate_trees``).  The
     undivided a*V2 - c*V is never decoded, so its lanes may overflow:
     it is the integer sum of u_r << r*width, every u_r a multiple of
     prev (Bareiss), so // prev is exact and gives the lanes u_r / prev,
@@ -344,41 +345,29 @@ def enumerate_trees(
     budget=DEFAULT_BUDGET,
     on_tree=None,
 ) -> TreeCensus:
-    """Exhaustively enumerate the i-dimensional spanning trees.
+    """Exhaustively enumerate the i-dimensional spanning trees: depth-first
+    over face indices in lexicographic order, a leaf for every set of
+    ``required_tree_size`` independent columns.
 
-    Subsets are explored in lexicographic order with incremental-rank
-    pruning, so dependent prefixes die early.  ``on_tree`` receives each
-    SpanningTree as found; returning a truthy value stops the run.
-    Exceeding ``budget`` column reductions leaves a partial census with
-    ``complete=False`` and a warning, never a silent truncation.  The
-    census is empty, complete and warned of exactly when beta~_{i-1} != 0.
+    Incremental-rank pruning makes dependent prefixes die early.
+    ``on_tree`` receives each SpanningTree as found; returning a truthy
+    value stops the run.  Exceeding ``budget`` column reductions leaves a
+    partial census with ``complete=False`` and a warning, never a silent
+    truncation.  When beta~_{i-1} != 0 no i-tree exists: the census is
+    empty, complete and warned of, with no budget spent.
     """
     _check_dim(comp, i)
-    return _search(comp, i, budget, on_tree)
-
-
-def _search(comp, i, budget, on_tree, descend=False):
-    """The one tree search: depth-first over face indices in lexicographic
-    order, a leaf for every set of ``required_tree_size`` independent
-    columns.  With ``descend``, only its first leaf, the complex's first
-    basis of d_i: beta~_{i-1} = 0 makes rank d_i = ``need``.  When
-    beta~_{i-1} != 0 no i-tree exists: an empty, complete census with a
-    warning, and no budget spent."""
     if comp.reduced_homology(i - 1).betti:
         why = f"reduced homology in dimension {i - 1} is infinite: no {i}-dimensional spanning trees"
         return TreeCensus(dimension=i, warnings=(why,))
     state = _EnumState(comp, i, budget, on_tree)
     census = state.census
+    # |minor| <= (i + 1)^(need/2) < isqrt((i + 1)^need) + 1 < 2^(width - 2):
+    # one more bit for the sign, and one to spare
+    width = (isqrt((i + 1) ** state.need) + 1).bit_length() + 2
+    root = _packed_root(comp.boundary_matrix(i), _rows_outside_basis(comp, i), width)
     try:
-        if descend:
-            tree = comp._first_basis(i, state.charge)
-            _record(state, tree, state.checked_torsion(tree))
-        else:
-            # |minor| <= (i + 1)^(need/2) < isqrt((i + 1)^need) + 1 < 2^(width - 2):
-            # one more bit for the sign, and one to spare
-            width = (isqrt((i + 1) ** state.need) + 1).bit_length() + 2
-            root = _packed_root(comp.boundary_matrix(i), _rows_outside_basis(comp, i), width)
-            _dfs(state, root, width)
+        _dfs(state, root, width)
     except BudgetExceededError:
         census.complete = False
         census.warnings += (

@@ -97,6 +97,10 @@ CONE_TETRA_FACETS = RP2_FACETS + [(4, 5, 7), (4, 6, 7), (5, 6, 7), (20, 21, 22, 
 INPUT_ERRORS = [
     (("--gen", "bipyramid", "--facets", "x.txt", "info"),
      "give either --gen or --facets, not both"),
+    (("--gen", "", "--facets", "x.txt", "info"), "give either --gen or --facets, not both"),
+    (("--gen", "", "info"), "empty generator spec"),
+    (("--facets", "", "info"),
+     f"cannot read facet file: [Errno 2] {os.strerror(errno.ENOENT)}: ''"),
     (("info",), "no complex given: use --gen SPEC or --facets FILE"),
     (("--facets", "missing.txt", "info"),
      f"cannot read facet file: [Errno 2] {os.strerror(errno.ENOENT)}: 'missing.txt'"),
@@ -105,6 +109,12 @@ INPUT_ERRORS = [
     (("--gen", "cycle 2", "info"), "a cycle needs at least 3 vertices"),
     (("--gen", "moore 1", "info"), "a Moore space needs m >= 2"),
     (("--gen", "dodecahedron", "info"), "unrecognized generator spec 'dodecahedron'"),
+    (("--gen", "cycle", "info"), "unrecognized generator spec 'cycle'"),
+    (("--gen", "cycle 5 6", "info"), "unrecognized generator spec 'cycle 5 6'"),
+    (("--gen", "bipyramid 3", "info"), "unrecognized generator spec 'bipyramid 3'"),
+    (("--gen", "simplex-skeleton 6", "info"), "unrecognized generator spec 'simplex-skeleton 6'"),
+    (("--gen", "cycle x", "info"), "non-integer parameter in generator spec 'cycle x'"),
+    (("--gen", "sphere -1", "info"), "sphere dimension must be nonnegative"),
     (("--gen", "bipyramid", "critical-group", "--dim", "2"),
      "--dim 2 out of range [0, 1] for this complex"),
     (("--gen", "bipyramid", "verify", "smtt", "--dim", "0"),

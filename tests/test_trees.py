@@ -470,6 +470,31 @@ def test_first_trees_match_brute_force():
     assert rep.tree_faces == fallback.top_faces
 
 
+def test_a_torsion_free_first_basis_needs_no_census(monkeypatch):
+    # the first basis of d_i is the census's first leaf: the census kernel
+    # runs only when that basis has torsion, and then once
+    calls = []
+    dfs = trees._dfs
+
+    def counting(*args):
+        calls.append(args)
+        return dfs(*args)
+
+    def refuse(*args):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(trees, "_dfs", refuse)
+    cases = [(bipyramid(), 0), (bipyramid(), 1), (bipyramid(), 2), (sphere(3), 2),
+             (linial_meshulam(7, 0.5, 1), 1), (linial_meshulam(7, 0.5, 1), 2),
+             (simplex_skeleton(8, 2), 2)]
+    for comp, i in cases:
+        t = find_torsion_free_tree(comp, i)
+        assert t is not None and t.torsion_order == 1, (comp, i)
+    monkeypatch.setattr(trees, "_dfs", counting)
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
+    assert find_torsion_free_tree(rp2_cone, 2) == first_tree_brute(rp2_cone, 2, torsion_free=True)
+    assert len(calls) == 1
+
 def test_tree_exists_without_apc():
     # two disjoint solid tetrahedra: beta~_1 = 0, so 2-trees exist (a pair
     # of 3-facet trees, 4 x 4 of them), but beta~_0 = 1, so no 1-tree does
