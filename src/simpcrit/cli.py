@@ -599,7 +599,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # an OverflowError is an integer argument too large to be a size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report = {"command": args.name, "input": {"source": source}, "result": result,

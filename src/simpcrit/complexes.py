@@ -126,19 +126,33 @@ class SimplicialComplex:
             raise ValueError(f"dimension {i} out of range [-1, {self.dim}]")
 
         def build():
-            if i == -1:
-                return IntMatrix(0, 1)
-            rows = self._index[i - 1]
-            cols = self._faces[i]
-            mat = IntMatrix(len(rows), len(cols))
+            cols = self._boundary_columns(i)
+            # there are no (-2)-faces: the map out of C_{-1} has no rows
+            mat = IntMatrix(len(self._faces.get(i - 1, ())), len(cols))
             data = mat.data
-            for c, face in enumerate(cols):
-                for j in range(len(face)):
-                    sub = face[:j] + face[j + 1:]
-                    data[rows[sub]][c] = -1 if j % 2 else 1
+            for c, col in enumerate(cols):
+                for r, sign in col:
+                    data[r][c] = sign
             return mat
 
         return self._memoized(("boundary", i), build)
+
+    def _boundary_columns(self, i) -> tuple:
+        """boundary_i as sparse columns, built once per complex: column c,
+        for the c-th i-face, is a tuple of (row, sign) pairs, one per
+        facet of the face, dropping its j-th vertex having sign (-1)^j.
+        The one column out of C_{-1} is empty."""
+
+        def build():
+            if i == -1:
+                return ((),)
+            rows = self._index[i - 1]
+            return tuple(
+                tuple((rows[face[:j] + face[j + 1:]], -1 if j % 2 else 1) for j in range(len(face)))
+                for face in self._faces[i]
+            )
+
+        return self._memoized(("boundary_columns", i), build)
 
     def _boundary_factors(self, i) -> tuple:
         """Invariant factors of boundary_i, one Smith form per complex:

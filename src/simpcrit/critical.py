@@ -13,6 +13,15 @@ Two independent routes to the same group:
   the content of the main structure theorem and is what the test suite
   checks on every fixture.
 
+Neither route forms its Laplacian.  Each is B B^T, B being
+boundary_{i+1} on the i-faces kept (all of them, or those outside the
+tree), and two unimodular block steps turn [[I, B^T], [B, 0]] into
+[[I, 0], [0, -B B^T]].  So both factor that sparse block matrix, built
+from the complex's memoized sparse boundary columns
+(``_block_cokernel``).  ``laplacian`` and ``reduced_laplacian`` remain
+for the flows module, the matrix-tree and simplex checks, and callers
+that want the matrices.
+
 The module also builds the skew-style stacked matrix of reduced
 boundary/coboundary maps for skeleta of simplices and verifies its
 cokernel identities, computes the eigenvalue products pi_j and their
@@ -33,6 +42,7 @@ from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     _normalize_diagonal,
+    _sparse_invariant_factors,
     cokernel,
     column_basis,
     invariant_factors,
@@ -85,12 +95,42 @@ def reduced_laplacian(comp: SimplicialComplex, i, tree) -> IntMatrix:
     return laplacian(comp, i).submatrix(theta, theta)
 
 
+def _block_cokernel(comp: SimplicialComplex, i, theta) -> AbelianGroup:
+    """coker(B B^T), B being boundary_{i+1} on the rows of the i-faces
+    indexed by ``theta``, read off the sparse block matrix
+    M = [[I, B^T], [B, 0]] without forming B B^T.
+
+    Subtracting B times the first block row from the second, then the
+    first block column times B^T from the second, are unimodular steps
+    that turn M into [[I, 0], [0, -B B^T]].  So M has the invariant
+    factors of B B^T and f_{i+1} more 1's, and its cokernel is that of
+    B B^T, free rank included.  Rows 0 .. f_{i+1} - 1 of M belong to the
+    (i+1)-faces, the rest to theta in its order.
+    """
+    cols = comp._boundary_columns(i + 1)
+    off = len(cols)
+    pos = {r: off + k for k, r in enumerate(theta)}
+    rows = [{c: 1} for c in range(off)] + [{} for _ in pos]
+    for c, col in enumerate(cols):
+        for r, sign in col:
+            p = pos.get(r)
+            if p is not None:
+                rows[c][p] = rows[p][c] = sign
+    facs = _sparse_invariant_factors(rows)
+    return AbelianGroup(len(pos) + off - len(facs), tuple(f for f in facs if f > 1))
+
+
 def critical_group_reduced(comp: SimplicialComplex, i, tree) -> AbelianGroup:
-    """K_i as the cokernel of the reduced Laplacian of a torsion-free tree."""
+    """K_i as the cokernel of the reduced Laplacian of a torsion-free tree.
+
+    That Laplacian is B B^T for B, boundary_{i+1} on the i-faces outside
+    the tree, and its cokernel is read off [[I, B^T], [B, 0]] (see
+    ``_block_cokernel``), so it is never formed.
+    """
     if not 0 <= i < comp.dim:
         raise ValueError(f"dimension {i} out of range [0, {comp.dim})")
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
-    return cokernel(reduced_laplacian(comp, i, tree))
+    return _block_cokernel(comp, i, _theta_indices(comp, i, tree))
 
 
 def critical_group_direct(comp: SimplicialComplex, i) -> AbelianGroup:
@@ -99,15 +139,27 @@ def critical_group_direct(comp: SimplicialComplex, i) -> AbelianGroup:
     The image of boundary_i is free, so its kernel is a direct summand of
     the i-chains and coker(Laplacian) = K_i + Z^rank(boundary_i).  K_i is
     the cokernel of the Laplacian with rank(boundary_i) taken off its free
-    part.  No tree is involved.
+    part.  No tree is involved.  The Laplacian is B B^T for B =
+    boundary_{i+1}, and its cokernel is read off [[I, B^T], [B, 0]] (see
+    ``_block_cokernel``), so it is never formed.
+
+    The image lies in the kernel because boundary_i boundary_{i+1} = 0,
+    which is checked on the sparse columns first.  That is the same as
+    boundary_i L = 0: with X = boundary_i boundary_{i+1}, boundary_i L = X
+    boundary_{i+1}^T, and boundary_i L boundary_i^T = X X^T, which is 0
+    only if X is.
     """
     if not 0 <= i < comp.dim:
         raise ValueError(f"dimension {i} out of range [0, {comp.dim})")
-    bd = comp.boundary_matrix(i)
-    lap = laplacian(comp, i)
-    if bd * lap != 0:
-        raise AssertionError("Laplacian image escaped the boundary kernel")
-    g = cokernel(lap)
+    below = comp._boundary_columns(i)
+    for col in comp._boundary_columns(i + 1):
+        image = {}
+        for r, sign in col:
+            for q, s in below[r]:
+                image[q] = image.get(q, 0) + sign * s
+        if any(image.values()):
+            raise AssertionError("Laplacian image escaped the boundary kernel")
+    g = _block_cokernel(comp, i, range(len(comp.faces(i))))
     return AbelianGroup(g.betti - len(comp._boundary_factors(i)), g.torsion)
 
 

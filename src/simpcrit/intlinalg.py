@@ -16,9 +16,12 @@ factors, which is cheaper on sparse input; the eigenvalue products of
 the critical module are built from three such products, so no library
 path but ``pseudo_determinant`` runs Bareiss.
 
-Matrices are dense.  Invariant factors, cokernels and ranks first
-eliminate +-1 pivots in a private sparse form, since the boundary maps
-and Laplacians of complexes are sparse and almost unimodular.  Each
+``IntMatrix`` is dense.  Invariant factors are computed from sparse
+rows, {col: nonzero value} dicts (``_sparse_invariant_factors``):
+``invariant_factors``, cokernels and ranks convert an ``IntMatrix`` to
+them, and the critical groups build theirs straight from the sparse
+boundary maps.  Boundary maps and Laplacians of complexes are sparse and
+almost unimodular, so +-1 pivots are eliminated first, in that form.  Each
 pivot is taken from the shortest row that holds a +-1, in the sparsest
 of that row's +-1 columns, and a heap of row lengths finds that row
 without rescanning the matrix.  What is left is diagonalized with no divisibility
@@ -352,7 +355,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                      row_log=tuple(row_log), col_log=tuple(col_log))
 
 
-def _eliminate_unit_pivots(a_data):
+def _eliminate_unit_pivots(sparse_rows):
     """Sparse Schur elimination of +-1 pivots.
 
     A unit pivot p at (r, c) leaves the cokernel unchanged when row r and
@@ -366,16 +369,14 @@ def _eliminate_unit_pivots(a_data):
     with the fewest nonzeros, ties to the lowest column; a row with no +-1
     is dropped until an update pushes it again.  So when the heap is empty
     no entry is +-1.  Zero rows and columns drop out.  Returns the pivot
-    count and the dense rows of what is left.
+    count and the dense rows of what is left.  The matrix comes as its
+    rows, {col: nonzero value} dicts, which the elimination changes.
     """
-    rows = {}  # row -> {col: nonzero value}, ascending row order
+    rows = {r: row for r, row in enumerate(sparse_rows) if row}  # ascending row order
     cols = {}  # col -> set of rows with a nonzero there
-    for r, row in enumerate(a_data):
-        sparse = {c: x for c, x in enumerate(row) if x}
-        if sparse:
-            rows[r] = sparse
-            for c in sparse:
-                cols.setdefault(c, set()).add(r)
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
     heap = [(len(row), r) for r, row in rows.items()]
     heapify(heap)
     units = 0
@@ -491,14 +492,24 @@ def _normalize_diagonal(entries):
 def invariant_factors(a: IntMatrix) -> tuple:
     """The d_1 | d_2 | ... | d_r of the Smith form (1's included).
 
+    The dense rows are turned into the sparse ones that
+    ``_sparse_invariant_factors`` factors.  Invariant factors are unique,
+    so that path takes its own pivot order, with no divisibility scan;
+    ``smith_normal_form`` keeps its min-|value| rule because its
+    transforms, unlike the factors, depend on it.
+    """
+    return _sparse_invariant_factors([{c: x for c, x in enumerate(row) if x} for row in a.data])
+
+
+def _sparse_invariant_factors(sparse_rows) -> tuple:
+    """``invariant_factors`` of the matrix whose rows are the {col: nonzero
+    value} dicts ``sparse_rows``, which are used up.
+
     Unit pivots are eliminated sparsely first, each adding a factor 1;
     ``_diagonalize`` then runs on the dense remainder only, and
     ``_normalize_diagonal`` turns its diagonal into a divisor chain.
-    Invariant factors are unique, so this path takes its own pivot order,
-    with no divisibility scan; ``smith_normal_form`` keeps its min-|value|
-    rule because its transforms, unlike the factors, depend on it.
     """
-    units, rest = _eliminate_unit_pivots(a.data)
+    units, rest = _eliminate_unit_pivots(sparse_rows)
     return (1,) * units + _normalize_diagonal(_diagonalize(rest))
 
 

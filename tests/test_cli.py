@@ -151,6 +151,10 @@ INPUT_ERRORS = [
     (("--gen", "bipyramid", "verify", "smtt", "--dim", "2", "--budget", "-1"),
      "--budget must be at least 0, got -1"),
     (("verify", "simplex", "--n", "100000", "--k", "0"), "need 1 <= k <= n - 2"),
+    (("verify", "simplex", "--n", "9999999999999999999999", "--k", "1"),
+     "Python int too large to convert to C ssize_t"),
+    (("--gen", "complete 9999999999999999999999", "info"),
+     "Python int too large to convert to C ssize_t"),
 ]
 
 

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 from test_acceptance import BIPYR_REDUCED, LM_TORSION, RP2_FACETS, linial_meshulam
+from test_trees import lm_moore
 
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
     _column_and_row_basis,
+    _theta_indices,
     alternating_order,
     critical_group_direct,
     critical_group_reduced,
@@ -23,10 +26,12 @@ from simpcrit.generators import (
     complete_graph,
     cycle,
     full_simplex,
+    moore,
     simplex_skeleton,
     sphere,
 )
 from simpcrit.intlinalg import (
+    AbelianGroup,
     IntMatrix,
     char_poly,
     cokernel,
@@ -34,6 +39,7 @@ from simpcrit.intlinalg import (
     determinant,
     invariant_factors,
     pseudo_determinant,
+    rank,
     smith_normal_form,
 )
 from simpcrit.trees import (
@@ -213,6 +219,79 @@ def test_dimension_range_checks():
         critical_group_direct(b, 2)
     with pytest.raises(ValueError):
         critical_group_direct(b, -1)
+
+
+# ---- both routes without the Laplacian ---------------------------------------------
+
+# the 7-vertex torus: H~_1 = Z^2, so K_1 has free rank 2
+TORUS_FACETS = [f for i in range(7) for f in (
+    (1 + i, 1 + (i + 1) % 7, 1 + (i + 3) % 7), (1 + i, 1 + (i + 2) % 7, 1 + (i + 3) % 7))]
+
+
+def block_route_cases():
+    """(complex, i) at every i in [0, dim) of each differential fixture."""
+    comps = [bipyramid(), SimplicialComplex.from_facets(RP2_FACETS)]
+    comps += [moore(m) for m in range(2, 8)]
+    comps += [linial_meshulam(*spec) for spec in LM_TORSION]
+    comps += [lm_moore(m, 6, 0.4, seed) for m in (2, 3) for seed in (1, 2, 3)]
+    comps += [simplex_skeleton(6, 2), simplex_skeleton(7, 3), cycle(7), complete_graph(6)]
+    comps += [SimplicialComplex.from_facets(TORUS_FACETS)]
+    # the edge 5 6 lies in no triangle: a zero row of d_2
+    comps += [SimplicialComplex.from_facets(bipyramid().facets() + ((5, 6),))]
+    return [(comp, i) for comp in comps for i in range(comp.dim)]
+
+
+def test_both_routes_match_the_dense_laplacian_formulas():
+    # the oracles form the Laplacians: coker L_i minus rank d_i for the
+    # direct route, and coker of the reduced L_i of a torsion-free tree
+    cases = block_route_cases()
+    free = zero_rows = 0
+    for comp, i in cases:
+        g = cokernel(laplacian(comp, i))
+        want = AbelianGroup(g.betti - rank(comp.boundary_matrix(i)), g.torsion)
+        assert critical_group_direct(comp, i) == want, (comp, i)
+        free += want.betti > 0
+        zero_rows += any(not any(row) for row in comp.boundary_matrix(i + 1).data)
+        tree = find_torsion_free_tree(comp, i)
+        assert _theta_indices(comp, i, tree), (comp, i)
+        want = cokernel(reduced_laplacian(comp, i, tree))
+        assert critical_group_reduced(comp, i, tree) == want, (comp, i)
+    assert (len(cases), free, zero_rows) == (63, 15, 13)
+
+
+def test_neither_route_forms_a_laplacian(monkeypatch):
+    calls = Counter()
+    for name in ("__mul__", "transpose"):
+        def counted(self, *args, _name=name, _orig=getattr(IntMatrix, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(IntMatrix, name, counted)
+    for comp in (bipyramid(), moore(3), linial_meshulam(8, 0.3, 1), simplex_skeleton(6, 3)):
+        for i in range(comp.dim):
+            tree = find_torsion_free_tree(comp, i)
+            calls.clear()
+            critical_group_direct(comp, i)
+            critical_group_reduced(comp, i, tree)
+            assert not calls, (comp, i, calls)
+        assert not [key for key in comp._memo if key[0] == "laplacian"], comp
+
+
+ESCAPED = "^Laplacian image escaped the boundary kernel$"
+
+
+def test_direct_route_checks_the_sparse_boundary():
+    # flipping any one sign of d_{i+1} makes d_i d_{i+1} nonzero
+    for comp in (bipyramid(), moore(2)):
+        for i in range(comp.dim):
+            key = ("boundary_columns", i + 1)
+            cols = comp._boundary_columns(i + 1)
+            for c, col in enumerate(cols):
+                for k, (r, sign) in enumerate(col):
+                    bad = col[:k] + ((r, -sign),) + col[k + 1:]
+                    comp._memo[key] = cols[:c] + (bad,) + cols[c + 1:]
+                    with pytest.raises(AssertionError, match=ESCAPED):
+                        critical_group_direct(comp, i)
+            comp._memo[key] = cols
 
 
 # ---- simplex skeleta and the stacked matrix ------------------------------------------
