@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .intlinalg import AbelianGroup, IntMatrix, column_basis, invariant_factors
+from .intlinalg import AbelianGroup, IntMatrix, _sparse_invariant_factors, column_basis
 
 Face = tuple
 
@@ -125,17 +125,11 @@ class SimplicialComplex:
         if not -1 <= i <= self.dim:
             raise ValueError(f"dimension {i} out of range [-1, {self.dim}]")
 
-        def build():
-            cols = self._boundary_columns(i)
-            # there are no (-2)-faces: the map out of C_{-1} has no rows
-            mat = IntMatrix(len(self._faces.get(i - 1, ())), len(cols))
-            data = mat.data
-            for c, col in enumerate(cols):
-                for r, sign in col:
-                    data[r][c] = sign
-            return mat
-
-        return self._memoized(("boundary", i), build)
+        # there are no (-2)-faces: the map out of C_{-1} has no rows
+        rows = len(self._faces.get(i - 1, ()))
+        return self._memoized(
+            ("boundary", i), lambda: IntMatrix.from_columns(rows, self._boundary_columns(i))
+        )
 
     def _boundary_columns(self, i) -> tuple:
         """boundary_i as sparse columns, built once per complex: column c,
@@ -157,9 +151,11 @@ class SimplicialComplex:
     def _boundary_factors(self, i) -> tuple:
         """Invariant factors of boundary_i, one Smith form per complex:
         there are rank(boundary_i) of them, and those above 1 are the
-        torsion of its cokernel."""
+        torsion of its cokernel.  They are those of its transpose, whose
+        rows are the sparse columns, so no dense matrix is built."""
         return self._memoized(
-            ("boundary_factors", i), lambda: invariant_factors(self.boundary_matrix(i))
+            ("boundary_factors", i),
+            lambda: _sparse_invariant_factors([dict(col) for col in self._boundary_columns(i)]),
         )
 
     def _cycle_rank(self, i) -> int:
@@ -176,10 +172,10 @@ class SimplicialComplex:
         on a memo hit, and may raise; a scan that raises stores nothing."""
         key = ("first_basis", i)
         if key not in self._memo:
-            bd = self.boundary_matrix(i)
+            cols = enumerate(dict(col) for col in self._boundary_columns(i))
             bound = self._cycle_rank(i - 1) if i >= 0 else 0
             basis, cost = [], 0
-            for j, steps, taken in column_basis((j, bd.column(j)) for j in range(bd.cols)):
+            for j, steps, taken in column_basis(cols):
                 cost += steps
                 if charge is not None:
                     charge(steps)

@@ -18,9 +18,10 @@ boundary_{i+1} on the i-faces kept (all of them, or those outside the
 tree), and two unimodular block steps turn [[I, B^T], [B, 0]] into
 [[I, 0], [0, -B B^T]].  So both factor that sparse block matrix, built
 from the complex's memoized sparse boundary columns
-(``_block_cokernel``).  ``laplacian`` and ``reduced_laplacian`` remain
-for the flows module, the matrix-tree and simplex checks, and callers
-that want the matrices.
+(``_block_cokernel``), and so do the eigenvalue products and the
+determinant form of the matrix-tree theorem.  ``laplacian`` and
+``reduced_laplacian`` remain for the flows module, the simplex checks,
+and callers that want the matrices.
 
 The module also builds the skew-style stacked matrix of reduced
 boundary/coboundary maps for skeleta of simplices and verifies its
@@ -45,7 +46,6 @@ from .intlinalg import (
     _sparse_invariant_factors,
     cokernel,
     column_basis,
-    invariant_factors,
 )
 from .trees import (
     DEFAULT_BUDGET,
@@ -95,27 +95,26 @@ def reduced_laplacian(comp: SimplicialComplex, i, tree) -> IntMatrix:
     return laplacian(comp, i).submatrix(theta, theta)
 
 
-def _block_cokernel(comp: SimplicialComplex, i, theta) -> AbelianGroup:
-    """coker(B B^T), B being boundary_{i+1} on the rows of the i-faces
-    indexed by ``theta``, read off the sparse block matrix
-    M = [[I, B^T], [B, 0]] without forming B B^T.
+def _block_cokernel(cols, theta) -> AbelianGroup:
+    """coker(B B^T), B being the matrix of the sparse columns ``cols``
+    ((row, value) pairs) on the rows indexed by ``theta``, read off the
+    sparse block matrix M = [[I, B^T], [B, 0]] without forming B B^T.
 
     Subtracting B times the first block row from the second, then the
     first block column times B^T from the second, are unimodular steps
     that turn M into [[I, 0], [0, -B B^T]].  So M has the invariant
-    factors of B B^T and f_{i+1} more 1's, and its cokernel is that of
-    B B^T, free rank included.  Rows 0 .. f_{i+1} - 1 of M belong to the
-    (i+1)-faces, the rest to theta in its order.
+    factors of B B^T and len(cols) more 1's, and its cokernel is that of
+    B B^T, free rank included.  Rows 0 .. len(cols) - 1 of M belong to
+    the columns of B, the rest to theta in its order.
     """
-    cols = comp._boundary_columns(i + 1)
     off = len(cols)
     pos = {r: off + k for k, r in enumerate(theta)}
     rows = [{c: 1} for c in range(off)] + [{} for _ in pos]
     for c, col in enumerate(cols):
-        for r, sign in col:
+        for r, x in col:
             p = pos.get(r)
             if p is not None:
-                rows[c][p] = rows[p][c] = sign
+                rows[c][p] = rows[p][c] = x
     facs = _sparse_invariant_factors(rows)
     return AbelianGroup(len(pos) + off - len(facs), tuple(f for f in facs if f > 1))
 
@@ -130,7 +129,7 @@ def critical_group_reduced(comp: SimplicialComplex, i, tree) -> AbelianGroup:
     if not 0 <= i < comp.dim:
         raise ValueError(f"dimension {i} out of range [0, {comp.dim})")
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
-    return _block_cokernel(comp, i, _theta_indices(comp, i, tree))
+    return _block_cokernel(comp._boundary_columns(i + 1), _theta_indices(comp, i, tree))
 
 
 def critical_group_direct(comp: SimplicialComplex, i) -> AbelianGroup:
@@ -159,7 +158,7 @@ def critical_group_direct(comp: SimplicialComplex, i) -> AbelianGroup:
                 image[q] = image.get(q, 0) + sign * s
         if any(image.values()):
             raise AssertionError("Laplacian image escaped the boundary kernel")
-    g = _block_cokernel(comp, i, range(len(comp.faces(i))))
+    g = _block_cokernel(comp._boundary_columns(i + 1), range(len(comp.faces(i))))
     return AbelianGroup(g.betti - len(comp._boundary_factors(i)), g.torsion)
 
 
@@ -324,26 +323,33 @@ def pi_product(comp: SimplicialComplex, j) -> int:
         pi_j = det(C^T C) det(X X^T) = det(C^T C) det(L_RR) / det(d_RT)^2,
 
     L_RR being the principal R x R block of L = d_R d_R^T.  C^T C and
-    L_RR are positive definite, so each determinant is the product of the
-    invariant factors, and that product is |det d_RT| too.  All three
-    matrices are sparse with small entries, and unit-pivot elimination
-    does most of the work.
+    L_RR are positive definite, so each determinant is the order of a
+    finite cokernel, read off a sparse block matrix by ``_block_cokernel``
+    (B = C^T, and B = d_R), and |det d_RT| is the product of the invariant
+    factors of the rows R of C.  All three come from the sparse boundary
+    columns, with no Laplacian, product or transpose formed, and
+    unit-pivot elimination does most of the work.
     """
     if not 0 <= j <= comp.dim:
         raise ValueError(f"index {j} out of range [0, {comp.dim}]")
-    c, r = _column_and_row_basis(comp, j)
-    minor = prod(invariant_factors(c.submatrix(r, range(c.cols))))
-    gram = prod(invariant_factors(c.transpose() * c))
-    return gram * prod(invariant_factors(laplacian(comp, j - 1).submatrix(r, r))) // minor**2
+    rows, r = _column_and_row_basis(comp, j)
+    minor = prod(_sparse_invariant_factors([dict(rows[q]) for q in r]))
+    gram = _block_cokernel([row.items() for row in rows.values()], range(len(r))).order
+    return gram * _block_cokernel(comp._boundary_columns(j), r).order // minor**2
 
 
 def _column_and_row_basis(comp, j):
-    """C = d[:, T], d = boundary_j and T its first column basis, and R,
-    the first maximal independent set of C's rows, which stops at |T|."""
+    """The nonzero rows of C = d[:, T], d = boundary_j and T its first
+    column basis, as a {row: {k: value}} dict, k indexing T; and R, the
+    first maximal independent set of C's rows, which stops at |T|."""
+    cols = comp._boundary_columns(j)
     t = comp._first_basis(j)
-    bd = comp.boundary_matrix(j)
-    c = bd.submatrix(range(bd.rows), t)
-    return c, list(islice((i for i, _, taken in column_basis(enumerate(c.data)) if taken), len(t)))
+    rows = {}
+    for k, c in enumerate(t):
+        for q, sign in cols[c]:
+            rows.setdefault(q, {})[k] = sign
+    basis = (q for q, _, taken in column_basis(sorted(rows.items())) if taken)
+    return rows, list(islice(basis, len(t)))
 
 
 def alternating_order(comp: SimplicialComplex, i) -> Fraction:
@@ -401,7 +407,9 @@ def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttRep
     A partial census makes the identities undefined: BudgetExceededError.
     The (i-1)-tree for the determinant is the first torsion-free leaf of
     the (i-1)-census, else its first leaf, so no second search runs; the
-    tree is then checked once, by ``reduced_laplacian``.
+    tree is then checked once, by ``as_spanning_tree``.  The determinant
+    of its reduced Laplacian B B^T, B being boundary_i on the (i-1)-faces
+    outside it, is read off the sparse boundary (``_block_cokernel``).
     """
     if not 1 <= i <= comp.dim:
         raise ValueError(f"dimension {i} out of range [1, {comp.dim}]")
@@ -426,10 +434,11 @@ def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttRep
     eig_ok = pi * h_order * h_order == census.tau * census_prev.tau
 
     tree = first.get(True) or first[False]
-    # a principal block of the PSD Laplacian: det >= 0, and 0 iff singular
-    red = reduced_laplacian(comp, i - 1, tree)
-    facs = invariant_factors(red)
-    det = prod(facs) if len(facs) == red.rows else 0
+    # the reduced Laplacian is a principal block of the PSD Laplacian, so
+    # det >= 0, and 0 iff it is singular, i.e. its cokernel has a free part
+    theta = _theta_indices(comp, i - 1, as_spanning_tree(comp, i - 1, tree))
+    red = _block_cokernel(comp._boundary_columns(i), theta)
+    det = 0 if red.betti else red.order
     t2 = tree.torsion_order * tree.torsion_order
     det_ok = census.tau * t2 == h_order * h_order * det
 

@@ -19,8 +19,14 @@ path but ``pseudo_determinant`` runs Bareiss.
 ``IntMatrix`` is dense.  Invariant factors are computed from sparse
 rows, {col: nonzero value} dicts (``_sparse_invariant_factors``):
 ``invariant_factors``, cokernels and ranks convert an ``IntMatrix`` to
-them, and the critical groups build theirs straight from the sparse
-boundary maps.  Boundary maps and Laplacians of complexes are sparse and
+them, and the homology, the critical groups and the eigenvalue products
+build theirs straight from the sparse boundary maps.  The one
+fraction-free column reducer, ``column_basis`` with its step
+``eliminate``, takes sparse columns, {row: nonzero value} dicts, in the
+same way: a column is reduced only against the taken columns whose
+pivot it holds, and each step touches only nonzeros, so the first basis
+of a boundary map costs what its nonzeros and their fill-in cost, not
+its dense shape.  Boundary maps and Laplacians of complexes are sparse and
 almost unimodular, so +-1 pivots are eliminated first, in that form.  Each
 pivot is taken from the shortest row that holds a +-1, in the sparsest
 of that row's +-1 columns, and a heap of row lengths finds that row
@@ -79,6 +85,16 @@ class IntMatrix:
         m = cls(len(entries), len(entries))
         for i, e in enumerate(entries):
             m.data[i][i] = e
+        return m
+
+    @classmethod
+    def from_columns(cls, rows, cols):
+        """The rows x len(cols) matrix whose column c holds the (row, value)
+        pairs of cols[c] and zeros elsewhere."""
+        m = cls(rows, len(cols))
+        for c, col in enumerate(cols):
+            for r, x in col:
+                m.data[r][c] = x
         return m
 
     def __getitem__(self, ij):
@@ -514,42 +530,50 @@ def _sparse_invariant_factors(sparse_rows) -> tuple:
 
 
 def eliminate(v, b, p):
-    """b[p]*v - v[p]*b divided by its gcd: the fraction-free step that
-    clears position p of v against the pivot b[p] != 0."""
+    """b[p]*v - v[p]*b divided by the gcd of its entries: the fraction-free
+    step that clears row p of v against the pivot b[p] != 0.  Columns are
+    {row: nonzero value} dicts; the result is a new one, and only the
+    nonzeros of v and b are touched."""
     a, c = b[p], v[p]
-    w = [a * x - c * y for x, y in zip(v, b)]
+    w = {r: a * x for r, x in v.items()}
+    for r, y in b.items():
+        x = w.get(r, 0) - c * y
+        if x:
+            w[r] = x
+        else:
+            del w[r]
     g = 0
-    for x in w:
+    for x in w.values():
         g = gcd(g, x)
         if g == 1:
             return w
-    return [x // g for x in w] if g > 1 else w
+    return {r: x // g for r, x in w.items()} if g > 1 else w
 
 
 def column_basis(cols):
     """The lexicographically first maximal independent set of columns.
 
-    ``cols`` yields (index, column) pairs.  For each one this yields
+    ``cols`` yields (index, column) pairs, each column a {row: nonzero
+    value} dict, which is not changed.  For each one this yields
     (index, steps, taken): ``taken`` says whether the column is
     independent of the columns taken before it, ``steps`` how many of
-    those it was reduced against with ``eliminate`` (a column stops as
-    soon as it is zero).  Taken columns are kept reduced.
+    those it was checked against in turn (a column stops as soon as it is
+    zero).  Taken columns are kept reduced, each with its lowest row as
+    pivot, and a column is reduced with ``eliminate`` against those whose
+    pivot it holds.
     """
     basis = []  # (pivot, taken column reduced against the earlier ones)
     for j, v in cols:
         steps = 0
         for p, b in basis:
             steps += 1
-            if v[p]:
+            if p in v:
                 v = eliminate(v, b, p)
-                if not any(v):
+                if not v:
                     break
-        taken = any(v)
+        taken = bool(v)
         if taken:
-            p = 0
-            while not v[p]:
-                p += 1
-            basis.append((p, v))
+            basis.append((min(v), v))
         yield j, steps, taken
 
 
@@ -640,7 +664,9 @@ def pseudo_determinant(a: IntMatrix) -> int:
         raise ValueError("pseudo-determinant of a non-square matrix")
     if not a.is_symmetric():
         raise ValueError("pseudo-determinant requires a symmetric matrix")
-    keep = [j for j, _, taken in column_basis((j, a.column(j)) for j in range(a.cols)) if taken]
+    # a is symmetric, so column j is row j
+    cols = ((j, {r: x for r, x in enumerate(row) if x}) for j, row in enumerate(a.data))
+    keep = [j for j, _, taken in column_basis(cols) if taken]
     b = a.submatrix(range(a.rows), keep)
     bt = b.transpose()
     return abs(determinant(bt * (a * b))) // determinant(bt * b)

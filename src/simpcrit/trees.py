@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from math import isqrt, prod
 
 from .complexes import SimplicialComplex, make_face
-from .intlinalg import invariant_factors
+from .intlinalg import IntMatrix, invariant_factors
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -115,8 +115,9 @@ def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     cols = [comp.face_index(i, f) for f in fs]
     if len(fs) != required_tree_size(comp, i):
         return None
-    bd = comp.boundary_matrix(i)
-    facs = invariant_factors(bd.submatrix(range(bd.rows), cols))
+    bd = comp._boundary_columns(i)
+    sub = IntMatrix.from_columns(len(comp.faces(i - 1)), [bd[j] for j in cols])
+    facs = invariant_factors(sub)
     if len(facs) != len(fs):
         return None
     return SpanningTree(dimension=i, top_faces=tuple(fs), torsion_order=prod(facs))
@@ -311,20 +312,23 @@ def _dfs(state, root, width):
             levels.append([child, 0, a])
 
 
-def _packed_root(bd, rows, width):
+def _packed_root(cols, rows, width):
     """The (face index, packed column, lane mask) candidates of ``_dfs``:
-    the nonzero columns of bd on ``rows``, row r in lane r.  Each column
-    is summed from its nonzeros alone, since a dense pack of every lane
-    costs far more on the sparse columns of a large search."""
-    vals = [0] * bd.cols
-    masks = [0] * bd.cols
-    for r, k in enumerate(rows):
-        shift = r * width
-        for j, x in enumerate(bd.data[k]):
-            if x:
-                vals[j] += x << shift
-                masks[j] |= 1 << r
-    return [(j, v, m) for j, (v, m) in enumerate(zip(vals, masks)) if m]
+    the sparse (row, value) columns ``cols`` on ``rows``, the r-th of them
+    in lane r, for the columns nonzero there.  Each column is summed from
+    its nonzeros alone."""
+    lane = {k: r for r, k in enumerate(rows)}
+    root = []
+    for j, col in enumerate(cols):
+        v = m = 0
+        for k, x in col:
+            r = lane.get(k)
+            if r is not None:
+                v += x << r * width
+                m |= 1 << r
+        if m:
+            root.append((j, v, m))
+    return root
 
 
 def _rows_outside_basis(comp, i):
@@ -365,7 +369,7 @@ def enumerate_trees(
     # |minor| <= (i + 1)^(need/2) < isqrt((i + 1)^need) + 1 < 2^(width - 2):
     # one more bit for the sign, and one to spare
     width = (isqrt((i + 1) ** state.need) + 1).bit_length() + 2
-    root = _packed_root(comp.boundary_matrix(i), _rows_outside_basis(comp, i), width)
+    root = _packed_root(comp._boundary_columns(i), _rows_outside_basis(comp, i), width)
     try:
         _dfs(state, root, width)
     except BudgetExceededError:

@@ -138,13 +138,14 @@ def test_one_smith_form_per_boundary_map(monkeypatch):
     # invariant factors of each boundary map from one memo entry
     from simpcrit import complexes, critical, trees
 
-    real, shapes = complexes.invariant_factors, []
+    real, shapes = complexes._sparse_invariant_factors, []
 
-    def counted(a):
-        shapes.append((a.rows, a.cols))
-        return real(a)
+    def counted(rows):
+        # the rows of the transpose of d_i: its columns
+        shapes.append((max((r for row in rows for r in row), default=-1) + 1, len(rows)))
+        return real(rows)
 
-    monkeypatch.setattr(complexes, "invariant_factors", counted)
+    monkeypatch.setattr(complexes, "_sparse_invariant_factors", counted)
     rp2 = SimplicialComplex.from_facets(RP2_FACETS)
     assert [rp2.reduced_homology(i).torsion for i in range(-1, 3)] == [(), (), (2,), ()]
     assert [trees.required_tree_size(rp2, i) for i in range(3)] == [1, 5, 10]

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 from test_acceptance import BIPYR_REDUCED, LM_TORSION, RP2_FACETS, linial_meshulam
+from test_intlinalg import sparse_columns
 from test_trees import lm_moore
 
 from simpcrit.complexes import SimplicialComplex
@@ -260,19 +261,29 @@ def test_both_routes_match_the_dense_laplacian_formulas():
 
 
 def test_neither_route_forms_a_laplacian(monkeypatch):
+    # nor do the eigenvalue products and the matrix-tree checks, run on
+    # the dimensions whose censuses are small
     calls = Counter()
     for name in ("__mul__", "transpose"):
         def counted(self, *args, _name=name, _orig=getattr(IntMatrix, name)):
             calls[_name] += 1
             return _orig(self, *args)
         monkeypatch.setattr(IntMatrix, name, counted)
-    for comp in (bipyramid(), moore(3), linial_meshulam(8, 0.3, 1), simplex_skeleton(6, 3)):
+    cases = [(bipyramid(), (1, 2)), (moore(3), ()), (linial_meshulam(8, 0.3, 1), ()),
+             (simplex_skeleton(6, 3), (1,)), (sphere(2), (1, 2))]
+    for comp, smtt in cases:
         for i in range(comp.dim):
             tree = find_torsion_free_tree(comp, i)
             calls.clear()
             critical_group_direct(comp, i)
             critical_group_reduced(comp, i, tree)
+            alternating_order(comp, i)
             assert not calls, (comp, i, calls)
+        for j in range(comp.dim + 1):
+            pi_product(comp, j)
+            if j in smtt:
+                assert verify_smtt(comp, j).ok, (comp, j)
+            assert not calls, (comp, j, calls)
         assert not [key for key in comp._memo if key[0] == "laplacian"], comp
 
 
@@ -468,7 +479,7 @@ def test_pi_product_without_a_tree():
     # smaller than a tree would be
     lm = linial_meshulam(8, 0.3, 1)
     bd = lm.boundary_matrix(2)
-    basis = [j for j, _, taken in column_basis((j, bd.column(j)) for j in range(bd.cols)) if taken]
+    basis = [j for j, _, taken in column_basis(sparse_columns(bd)) if taken]
     assert find_torsion_free_tree(lm, 2) is None
     assert len(basis) == required_tree_size(lm, 2) - 4
     assert pi_product(lm, 2) == pdet_by_char_poly(laplacian(lm, 1))
@@ -488,10 +499,50 @@ def test_pi_product_divides_by_a_nonunit_minor():
     # the division by its square is not a division by 1
     for facets in (RP2_FACETS, RP2_CONE_FACETS):
         comp = SimplicialComplex.from_facets(facets)
-        c, r = _column_and_row_basis(comp, 2)
-        assert len(r) == c.cols
-        assert abs(determinant(c.submatrix(r, range(c.cols)))) == 2
+        rows, r = _column_and_row_basis(comp, 2)
+        cols = len(comp._first_basis(2))
+        assert len(r) == cols
+        minor = [[rows[q].get(k, 0) for k in range(cols)] for q in r]
+        assert abs(determinant(IntMatrix(len(r), cols, minor))) == 2
         assert pi_product(comp, 2) == pdet_by_char_poly(laplacian(comp, 1))
+
+
+def test_pi_product_of_simplex_skeleta():
+    # the nonzero eigenvalues of the up-down Laplacian of the full simplex
+    # on n vertices in dimension j - 1 are all n, C(n - 1, j) of them, and
+    # the k-skeleton has the same d_j for j <= k
+    checked = 0
+    for n in range(3, 10):
+        for k in range(min(n, 4)):
+            comp = simplex_skeleton(n, k)
+            for j in range(k + 1):
+                assert pi_product(comp, j) == n ** comb(n - 1, j), (n, k, j)
+                checked += 1
+    assert checked == 66
+
+
+def relabeled(comp, rng):
+    """comp with its vertex labels permuted at random: other face orders,
+    so other first bases, pivot orders and trees."""
+    labels = list(comp.vertices())
+    image = dict(zip(labels, rng.sample(labels, len(labels))))
+    return SimplicialComplex.from_facets([[image[v] for v in f] for f in comp.facets()])
+
+
+def test_spectra_and_groups_do_not_depend_on_vertex_labels():
+    rng = random.Random(20261020)
+    comps = [moore(3), bipyramid(), linial_meshulam(9, 0.5, 1), linial_meshulam(12, 0.4, 2)]
+    for comp in comps:
+        pis = [pi_product(comp, j) for j in range(comp.dim + 1)]
+        groups = [critical_group_direct(comp, i) for i in range(comp.dim)]
+        for _ in range(3):
+            other = relabeled(comp, rng)
+            assert other.f_vector() == comp.f_vector() and other != comp
+            assert [pi_product(other, j) for j in range(comp.dim + 1)] == pis, comp
+            for i, group in enumerate(groups):
+                assert critical_group_direct(other, i) == group, (comp, i)
+                tree = find_torsion_free_tree(other, i)
+                assert critical_group_reduced(other, i, tree) == group, (comp, i)
 
 
 # 20 seeded LM(n, p, seed), n <= 14, none of them in LM_PDET

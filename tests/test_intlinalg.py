@@ -6,6 +6,7 @@ from math import gcd, prod
 
 import pytest
 
+from simpcrit import intlinalg
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import laplacian, reduced_laplacian
 from simpcrit.intlinalg import (
@@ -15,6 +16,7 @@ from simpcrit.intlinalg import (
     _normalize_diagonal,
     char_poly,
     cokernel,
+    column_basis,
     determinant,
     invariant_factors,
     lattice_membership,
@@ -492,3 +494,95 @@ def test_rank_against_fraction_oracle():
     for _ in range(60):
         a = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), -5, 5)
         assert rank(a) == frac_rank(a.data)
+
+
+# ---- the sparse column reducer against the dense one it replaced ---------------
+
+def dense_eliminate(v, b, p):
+    """The dense fraction-free step: b[p]*v - v[p]*b over its gcd."""
+    a, c = b[p], v[p]
+    w = [a * x - c * y for x, y in zip(v, b)]
+    g = 0
+    for x in w:
+        g = gcd(g, x)
+        if g == 1:
+            return w
+    return [x // g for x in w] if g > 1 else w
+
+
+def dense_column_basis(cols, pivots):
+    """The dense column reducer: each column, a list, is checked against
+    every taken column in turn and reduced where that one's pivot (its
+    lowest nonzero row) is nonzero, until it is zero.  The pivot row of
+    each step is appended to ``pivots``."""
+    basis = []
+    for j, v in cols:
+        steps = 0
+        for p, b in basis:
+            steps += 1
+            if v[p]:
+                pivots.append(p)
+                v = dense_eliminate(v, b, p)
+                if not any(v):
+                    break
+        taken = any(v)
+        if taken:
+            p = 0
+            while not v[p]:
+                p += 1
+            basis.append((p, v))
+        yield j, steps, taken
+
+
+def sparse_columns(a):
+    """(index, column) pairs of a's columns as {row: nonzero value} dicts,
+    the input of ``column_basis``."""
+    return [(j, {r: x for r, x in enumerate(a.column(j)) if x}) for j in range(a.cols)]
+
+
+def check_column_basis(a, monkeypatch):
+    """The sparse reducer gives the dense one's (index, steps, taken)
+    triples, takes the same steps on the same pivot rows, and leaves its
+    input columns as they were."""
+    want_pivots, pivots = [], []
+    real = intlinalg.eliminate
+    cols = sparse_columns(a)
+    before = [dict(v) for _, v in cols]
+    with monkeypatch.context() as m:
+        m.setattr(intlinalg, "eliminate", lambda v, b, p: pivots.append(p) or real(v, b, p))
+        got = list(column_basis(cols))
+    assert got == list(dense_column_basis(((j, a.column(j)) for j in range(a.cols)), want_pivots)), a
+    assert pivots == want_pivots, a
+    assert [v for _, v in cols] == before
+    return got
+
+
+def test_column_basis_matches_the_dense_reducer(monkeypatch):
+    rng = random.Random(20261020)
+    total = early = 0
+    for trial in range(150):
+        m, n = rng.randint(1, 14), rng.randint(1, 14)
+        values = ((-1, 1), (-3, -1, 1, 2, 5), (-9, 4, 6, 12))[trial % 3]
+        a = sparse_matrix(rng, m, n, rng.uniform(0.1, 0.6), values)
+        if trial % 4 == 1:
+            # columns that are combinations of earlier ones, or zero
+            for j in range(n // 2, n):
+                x, y = rng.sample(range(n // 2 + 1), 2)
+                q = rng.choice((-2, -1, 0, 1, 3))
+                for row in a.data:
+                    row[j] = q * row[x] - row[y] if trial % 8 == 1 else 0
+        got = check_column_basis(a, monkeypatch)
+        taken = 0
+        for _, steps, t in got:
+            # a dependent column that stops before the last taken one
+            early += not t and steps < taken
+            taken += t
+        assert sum(t for _, _, t in got) == frac_rank(a.data)
+        total += len(got)
+    for _ in range(10):
+        check_column_basis(random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), -2**40, 2**40),
+                           monkeypatch)
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert check_column_basis(IntMatrix(*shape), monkeypatch) == [(j, 0, False)
+                                                                      for j in range(shape[1])]
+    assert (total, early) == (1097, 63)

@@ -3,7 +3,8 @@ from itertools import combinations
 from math import comb, prod
 
 import pytest
-from test_acceptance import RP2_FACETS, linial_meshulam
+from test_acceptance import LM_TORSION, RP2_FACETS, linial_meshulam
+from test_intlinalg import check_column_basis, sparse_columns
 
 from simpcrit import intlinalg, trees
 from simpcrit.complexes import SimplicialComplex
@@ -301,7 +302,8 @@ def test_leaf_torsion_with_a_twisted_basis(monkeypatch):
     bd = comp.boundary_matrix(2)
     rp2 = [comp.face_index(2, f) for f in RP2_FACETS]
     order = rp2 + [j for j in range(bd.cols) if j not in rp2]
-    basis = {j for j, _, taken in column_basis((j, bd.column(j)) for j in order) if taken}
+    cols = dict(sparse_columns(bd))
+    basis = {j for j, _, taken in column_basis((j, cols[j]) for j in order) if taken}
     assert set(rp2) <= basis
     rows = [r for r in range(bd.cols) if r not in basis]
     monkeypatch.setattr(trees, "_rows_outside_basis", lambda c, i: rows)
@@ -593,10 +595,25 @@ def test_first_basis_is_the_first_maximal_independent_set():
     for comp in comps:
         for i in range(-1, comp.dim + 1):
             bd = comp.boundary_matrix(i)
-            want = [j for j, _, taken in column_basis((j, bd.column(j)) for j in range(bd.cols))
-                    if taken]
+            want = [j for j, _, taken in column_basis(sparse_columns(bd)) if taken]
             assert list(comp._first_basis(i)) == want, (comp, i)
     assert len(lm._first_basis(2)) == required_tree_size(lm, 2) - 4
+
+
+def test_column_basis_of_boundaries_matches_the_dense_reducer(monkeypatch):
+    # every d_i and its transpose (whose columns are the rows pi_product
+    # scans) of M(m), the LM_TORSION complexes and their unions with M(m)
+    comps = [moore(m) for m in range(2, 8)]
+    comps += [linial_meshulam(*spec) for spec in LM_TORSION]
+    comps += [lm_moore(m, 6, 0.4, seed) for m in (2, 3) for seed in (1, 2, 3)]
+    checked = 0
+    for comp in comps:
+        for i in range(-1, comp.dim + 1):
+            bd = comp.boundary_matrix(i)
+            check_column_basis(bd, monkeypatch)
+            check_column_basis(bd.transpose(), monkeypatch)
+            checked += 1
+    assert checked == 96
 
 
 def test_first_basis_is_scanned_once_and_stops_at_dim_ker_below(monkeypatch):
