@@ -11,6 +11,7 @@ from test_trees import lm_moore
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
     _column_and_row_basis,
+    _direct_sum_factors,
     _theta_indices,
     alternating_order,
     critical_group_direct,
@@ -543,6 +544,24 @@ def test_spectra_and_groups_do_not_depend_on_vertex_labels():
                 assert critical_group_direct(other, i) == group, (comp, i)
                 tree = find_torsion_free_tree(other, i)
                 assert critical_group_reduced(other, i, tree) == group, (comp, i)
+
+
+def test_groups_of_a_disjoint_union_are_direct_sums():
+    # for i >= 1, d_i and d_(i+1) of K + M(2) are block-diagonal, so K_i is
+    # K_i(K) + K_i(M(2)); d_0 is not (the union has one empty face), so K_0
+    # is left out.  The union is disconnected, so it has no 1-tree and only
+    # the direct route applies.
+    m2 = moore(2)
+    for comp in (moore(3), bipyramid(), linial_meshulam(9, 0.5, 1), linial_meshulam(12, 0.4, 2)):
+        shift = max(comp.vertices())
+        moved = [[v + shift for v in f] for f in m2.facets()]
+        union = SimplicialComplex.from_facets([*comp.facets(), *moved])
+        f, g = comp.f_vector(), m2.f_vector()
+        assert union.f_vector() == (1,) + tuple(x + y for x, y in zip(f[1:], g[1:]))
+        for i in range(1, union.dim):
+            a, b = critical_group_direct(comp, i), critical_group_direct(m2, i)
+            want = AbelianGroup(a.betti + b.betti, _direct_sum_factors(a.torsion, b.torsion))
+            assert critical_group_direct(union, i) == want, (comp, i)
 
 
 # 20 seeded LM(n, p, seed), n <= 14, none of them in LM_PDET

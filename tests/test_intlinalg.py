@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
@@ -11,9 +11,11 @@ from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import laplacian, reduced_laplacian
 from simpcrit.intlinalg import (
     IntMatrix,
+    _PackedRows,
     _diagonalize,
     _eliminate_unit_pivots,
     _normalize_diagonal,
+    _select_pivot,
     char_poly,
     cokernel,
     column_basis,
@@ -289,7 +291,7 @@ def check_unit_elimination(a):
     """The sparse phase stops only when no entry is +-1, and its pivot
     count plus the dense phase's factors are the Smith form's."""
     units, rest = _eliminate_unit_pivots(sparse_rows(a))
-    assert not any(x in (1, -1) for row in rest for x in row)
+    assert not any(x in (1, -1) for v in rest.ints for x in rest.unpack(v))
     assert (1,) * units + _normalize_diagonal(_diagonalize(rest)) == smith_normal_form(a).d
 
 
@@ -314,8 +316,165 @@ def test_unit_elimination_revisits_updated_rows():
     # (0, 0) turns it into [0, -1, -10], whose -1 is found only because
     # the update pushes row 1 again
     a = IntMatrix(2, 3, [[1, 2, 5], [2, 3, 0]])
-    assert _eliminate_unit_pivots(sparse_rows(a)) == (2, [])
+    units, rest = _eliminate_unit_pivots(sparse_rows(a))
+    assert (units, rest.ints) == (2, [])
     check_unit_elimination(a)
+
+
+# ---- the packed diagonalization against the list-row one it replaced --------
+
+def list_row_diagonalize(a_data):
+    """The list-row diagonalization: the diagonal, in no divisibility order,
+    of a diagonal matrix equivalent to the dense rows a_data, zeros left
+    out.  Its pivot is the smallest nonzero |entry| of the whole block;
+    Euclid runs down its column and along its row until both are clear."""
+    A = [row[:] for row in a_data]
+    diag = []
+    while A and A[0]:
+        m, n = len(A), len(A[0])
+        p = _select_pivot(A, 0, m, n)
+        if p is None:
+            break
+        pi, pj = p
+        A[pi], A[0] = A[0], A[pi]
+        if pj:
+            for r in A:
+                r[pj], r[0] = r[0], r[pj]
+        while True:
+            while True:  # Euclid down column 0
+                A0 = A[0]
+                if A0[0] < 0:
+                    A[0] = A0 = [-x for x in A0]
+                piv = A0[0]
+                half = piv >> 1
+                best = 0
+                for i in range(1, m):
+                    Ai = A[i]
+                    if Ai[0]:
+                        q = (Ai[0] + half) // piv
+                        if q:
+                            A[i] = Ai = [x - q * y for x, y in zip(Ai, A0)]
+                        a = abs(Ai[0])
+                        if a and (not best or a < best):
+                            best, bi = a, i
+                if not best:
+                    break
+                A[bi], A[0] = A0, A[bi]
+            best = 0
+            for j in range(1, n):  # Euclid along row 0
+                if A0[j]:
+                    A0[j] = a = A0[j] % piv
+                    if a and (not best or a < best):
+                        best, bj = a, j
+            if not best:
+                break
+            for r in A:
+                r[bj], r[0] = r[0], r[bj]
+        diag.append(piv)
+        A = [r[1:] for r in A[1:]]
+    return diag
+
+
+def branch_calls(monkeypatch):
+    """The arguments of each call of ``_PackedRows.widen`` (the quotient's
+    bits) and ``_PackedRows.swap`` from here on."""
+    calls = {"widen": [], "swap": []}
+    for name in calls:
+        real = getattr(_PackedRows, name)
+
+        def spy(self, *args, name=name, real=real):
+            calls[name].append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(_PackedRows, name, spy)
+    return calls
+
+
+def check_diagonalize(a):
+    """The packed diagonalization of a, packed from its sparse rows, gives
+    the list-row one's invariant factors."""
+    got = _diagonalize(_PackedRows(sparse_rows(a)))
+    assert _normalize_diagonal(got) == _normalize_diagonal(list_row_diagonalize(a.data)), a
+
+
+def test_packed_diagonalize_matches_the_list_rows(monkeypatch):
+    rng = random.Random(20261020)
+    calls = branch_calls(monkeypatch)
+
+    def run(matrices):
+        """Check each matrix; the quotient bits of each widening, and the
+        number of swaps, that they took."""
+        widen, swap = len(calls["widen"]), len(calls["swap"])
+        for a in matrices:
+            check_diagonalize(a)
+        return [q for q, in calls["widen"][widen:]], len(calls["swap"]) - swap
+
+    # empty, zero and m x 1: Euclid down the one column, no swap, no widening
+    assert run([IntMatrix(0, 0), IntMatrix(0, 4), IntMatrix(4, 0), IntMatrix(3, 5)]
+               + [random_matrix(rng, rng.randint(1, 12), 1) for _ in range(10)]) == ([], 0)
+    # 1 x n: Euclid along the one row swaps each remainder into column 0
+    widen, swap = run([random_matrix(rng, 1, rng.randint(2, 12), 2, 9) for _ in range(10)])
+    assert not widen and swap > 0
+    # seeded square, non-square, singular and rank-deficient matrices with
+    # entries of a few bits, a fifth with zero rows and columns (which get
+    # no lane): both branches, the entries outgrowing the guard in the
+    # larger ones
+    mixed = []
+    for trial in range(80):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 4 == 3:
+            r = rng.randint(1, min(m, n))
+            a = random_matrix(rng, m, r, -6, 6) * random_matrix(rng, r, n, -6, 6)
+        else:
+            a = sparse_matrix(rng, m, n, rng.uniform(0.3, 1.0), (-9, -6, -4, -3, -2, 2, 3, 4, 5, 8))
+        if trial % 5 == 1:
+            for j in rng.sample(range(n), n // 3):
+                for row in a.data:
+                    row[j] = 0
+            for i in rng.sample(range(m), m // 3):
+                a.data[i] = [0] * n
+        mixed.append(a)
+    widen, swap = run(mixed)
+    assert widen and swap > 0
+    # dense 30 x 30 to 40 x 42 with 30-bit entries, like the torsion
+    # remainders: both branches
+    widen, swap = run([random_matrix(rng, k, k + rng.randint(-2, 2), -2**30, 2**30)
+                       for k in range(30, 41, 5)])
+    assert widen and swap > 0
+    # a +-1 in column 0 of a row of entries up to 10^40 (133 bits), among
+    # such rows: a first step's quotient has over 120 bits, and beside the
+    # pivot row's 133-bit entries it fits no lane of the input's width.
+    # Each matrix first widens for such a quotient, and then finishes.
+    for _ in range(6):
+        m, n = rng.randint(2, 8), rng.randint(2, 8)
+        a = random_matrix(rng, m, n, -10**40, 10**40)
+        a.data[rng.randrange(m)][0] = rng.choice((-1, 1))
+        widen, _ = run([a])
+        assert widen and widen[0] > 120
+
+
+def test_packed_rows_take_the_sparsest_columns_first():
+    # lanes by nonzero count, ties to the lowest column: 3, then 0 and 7;
+    # the columns no row holds get none
+    rows = _PackedRows([{0: 2, 3: 5, 7: 6}, {0: 3, 7: -4}, {0: 9, 3: 2, 7: 8}, {}])
+    assert rows.n == 3
+    assert [rows.unpack(v) for v in rows.ints] == [[5, 2, 6], [0, 3, -4], [2, 9, 8], [0, 0, 0]]
+
+
+def test_lane_guard_proves_exactly_the_entries_below_it():
+    # with every lane a balanced digit, the guard test lowers a row's bound
+    # to the guard iff each entry is in [-2^(guard-1), 2^(guard-1)),
+    # whatever its neighbours hold, down to the widest digits +-(2^(width-1) - 1)
+    rows = _PackedRows([{0: 5, 1: 3, 2: -7}])
+    g, w = rows.guard, rows.width
+    lo, hi = -(1 << (g - 1)), (1 << (g - 1)) - 1
+    edges = (lo - 1, lo, -1, 0, hi, hi + 1, 1 - (1 << (w - 1)), (1 << (w - 1)) - 1)
+    for lanes in product(edges, repeat=3):
+        rows.ints[0], rows.bits[0] = rows.pack(enumerate(lanes))
+        assert rows.unpack(rows.ints[0]) == list(lanes)
+        rows.bits[0] = w - 1
+        rows.prove(0)
+        assert rows.bits[0] == (g if all(lo <= x <= hi for x in lanes) else w - 1), lanes
 
 
 def test_invariant_factors_of_diagonals():
