@@ -31,6 +31,10 @@ cover the nonzero lanes.  A Bareiss step is then a few big-int
 operations on whole columns instead of a loop over entries.  The lane
 width w is set by Hadamard's bound on the minors the search reads, so no
 lane it decodes ever carries into the next (the proof is in ``_dfs``).
+The last two levels run as one pair loop on two decoded lanes per
+column: a leaf is a nonzero 2x2 determinant, counted in a dict keyed by
+its |det| and divided by c once per distinct value when the census is
+folded.  Only the first leaf and streamed leaves become SpanningTrees.
 """
 
 from __future__ import annotations
@@ -207,17 +211,6 @@ class _EnumState:
         return as_spanning_tree(self.comp, self.census.dimension, faces).torsion_order
 
 
-def _record(state, chosen, torsion):
-    c = state.census
-    c.count += 1
-    c.tau += torsion * torsion
-    c.torsion_histogram[torsion] = c.torsion_histogram.get(torsion, 0) + 1
-    if state.on_tree is not None and state.on_tree(
-        SpanningTree(c.dimension, tuple(state.faces[j] for j in chosen), torsion)
-    ):
-        raise _StopStream
-
-
 def _exact_div(a, b):
     q, r = divmod(a, b)
     if r:
@@ -228,10 +221,11 @@ def _exact_div(a, b):
 def _dfs(state, root, width):
     """The search, with an explicit stack so that its depth costs no
     Python frames.  ``levels`` holds one [candidates, next position,
-    pivot] per level k below ``chosen[:k]``: the candidates are the
-    (face index, packed column, lane mask) triples of the columns reduced
-    against the chosen ones, nonzero, in increasing index order, and the
-    pivot is the one taken at level k - 1 (1 at the root).
+    pivot, live lanes] per level k below ``chosen[:k]``: the candidates
+    are the (face index, packed column, lane mask) triples of the columns
+    reduced against the chosen ones, nonzero, in increasing index order,
+    the pivot is the one taken at level k - 1 (1 at the root), and the
+    live lanes are the bits of the need - k rows not yet pivoted on.
 
     ``root`` holds the columns of d_i on the ``need`` rows of
     ``_rows_outside_basis``, packed by ``_packed_root``: a column is one
@@ -241,17 +235,26 @@ def _dfs(state, root, width):
     Bareiss's, divided exactly by the parent pivot, so a level-k lane is
     a (k+1)-minor and a leaf's one nonzero lane is
     +-det d_i[rows, tree] = c |H_{i-1}(tree)| (see the module
-    docstring).  The first leaf reads c off its tree check.
+    docstring).
 
     A step takes column V with mask m.  Its pivot lane p holds V's lowest
     set bit, since the lanes below p are zero, and a is that lane.  A
     later candidate V2 with mask m2 has c = 0 in lane p if m2 misses bit
     p; otherwise c is decoded from V2's low (p+1)*width bits.  Its child
     is (a*V2 - c*V) // prev, with mask (m2 | m) less bit p; with c = 0 it
-    is V2 itself when a == prev, else a*V2 // prev.  A leaf's det is
-    |V >> p*width|.
+    is V2 itself when a == prev, else a*V2 // prev.
 
-    The lanes never carry.  Every lane the search decodes (a, c, a leaf)
+    The last two levels are one loop, ``pairs``: there every candidate
+    lives on the same two lanes, decoded once to (x1, x2), and taking V
+    then V2 gives the leaf whose one lane is (x1*y2 - x2*y1) // prev, the
+    child the step would build; a zero is no leaf.  Leaves are counted in
+    ``dets``, keyed by |det|, and folded into the census once at exit,
+    each det divided exactly by c.  The first leaf reads c off its tree
+    check; only it, and every leaf when ``on_tree`` is set, becomes a
+    SpanningTree.  ``room`` counts the budget down; its spent part is
+    written back to ``extensions`` at exit.
+
+    The lanes never carry.  Every lane the search decodes (a, c, x1, x2)
     is a minor of order at most ``need`` of the root, whose columns have
     entries 0, +-1 and at most i + 1 nonzeros, so Hadamard's bound gives
     |minor| <= (i + 1)^(need/2) < 2^(width - 1) (see ``enumerate_trees``).  The
@@ -259,57 +262,106 @@ def _dfs(state, root, width):
     it is the integer sum of u_r << r*width, every u_r a multiple of
     prev (Bareiss), so // prev is exact and gives the lanes u_r / prev,
     which are minors again."""
-    need = state.need
+    need, census, on_tree = state.need, state.census, state.on_tree
     half = 1 << (width - 1)
     digit = (1 << width) - 1
-    chosen = []
-    levels = [[root, 0, 1]]
+    room = state.budget
+    dets = {}
     index = None
-    while levels:
-        level = levels[-1]
-        cands, pos, prev = level
-        left = need - len(chosen)
-        if len(cands) - pos < left:
-            levels.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        level[1] = pos + 1
-        j, vec, mask = cands[pos]
-        p = ((vec & -vec).bit_length() - 1) // width
-        shift = p * width
-        if left == 1:
-            tree = chosen + [j]
-            det = abs(vec >> shift)
-            if index is None:
-                index = _exact_div(det, state.checked_torsion(tree))
-            _record(state, tree, _exact_div(det, index))
-            continue
-        # take candidate #pos and reduce the rest against its column
-        state.charge(len(cands) - pos - 1)
-        a = (((vec >> shift) + half) & digit) - half
-        bit = 1 << p
-        # lanes 0..p of V2 as one residue; adding half of 2^shift absorbs
-        # the signed sum of the lanes below p, which is smaller than that
-        low = (1 << (shift + width)) - 1
-        rounding = (1 << shift) >> 1
-        child = []
-        for cand in cands[pos + 1:]:
-            j2, v2, m2 = cand
-            if m2 & bit:
-                c = (((((v2 & low) + rounding) >> shift) + half) & digit) - half
-                if c:
-                    w = (a * v2 - c * vec) // prev
-                    if w:
-                        child.append((j2, w, (m2 | mask) & ~bit))
-                    continue
-            if a == prev:
-                child.append(cand)
-            else:
-                child.append((j2, a * v2 // prev, m2))
-        if len(child) >= left - 1:
-            chosen.append(j)
-            levels.append([child, 0, a])
+
+    def leaf(tree, det):
+        nonlocal index
+        if index is None:
+            index = _exact_div(det, state.checked_torsion(tree))
+        dets[det] = dets.get(det, 0) + 1
+        if on_tree is not None and on_tree(SpanningTree(
+            census.dimension, tuple(state.faces[j] for j in tree), _exact_div(det, index)
+        )):
+            raise _StopStream
+
+    def pairs(cands, prev, live, chosen):
+        nonlocal room
+        lo = live & -live
+        s1 = (lo.bit_length() - 1) * width
+        s2 = ((live ^ lo).bit_length() - 1) * width
+        lanes = []
+        # every lane outside ``live`` is zero, so both reads are exact
+        for j, v, _ in cands:
+            x1 = (((v >> s1) + half) & digit) - half
+            lanes.append((j, x1, (v - (x1 << s1)) >> s2))
+        n = len(lanes)
+        for pos in range(n - 1):
+            room -= n - pos - 1
+            if room < 0:
+                raise BudgetExceededError
+            j, x1, x2 = lanes[pos]
+            for j2, y1, y2 in lanes[pos + 1:]:
+                det = x1 * y2 - x2 * y1
+                if det:
+                    det = abs(det // prev)
+                    if index is None or on_tree is not None:
+                        leaf(chosen + [j, j2], det)
+                    else:
+                        dets[det] = dets.get(det, 0) + 1
+
+    chosen = []
+    levels = [[root, 0, 1, (1 << need) - 1]] if need > 2 else []
+    try:
+        if need == 1:
+            for j, v, _ in root:
+                leaf([j], abs(v))
+        elif need == 2:
+            pairs(root, 1, 3, [])
+        while levels:
+            level = levels[-1]
+            cands, pos, prev, live = level
+            left = need - len(chosen)
+            if len(cands) - pos < left:
+                levels.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            level[1] = pos + 1
+            # take candidate #pos and reduce the rest against its column
+            room -= len(cands) - pos - 1
+            if room < 0:
+                raise BudgetExceededError
+            j, vec, mask = cands[pos]
+            p = ((vec & -vec).bit_length() - 1) // width
+            shift = p * width
+            a = (((vec >> shift) + half) & digit) - half
+            bit = 1 << p
+            # lanes 0..p of V2 as one residue; adding half of 2^shift absorbs
+            # the signed sum of the lanes below p, which is smaller than that
+            low = (1 << (shift + width)) - 1
+            rounding = (1 << shift) >> 1
+            child = []
+            for cand in cands[pos + 1:]:
+                j2, v2, m2 = cand
+                if m2 & bit:
+                    c = (((((v2 & low) + rounding) >> shift) + half) & digit) - half
+                    if c:
+                        w = (a * v2 - c * vec) // prev
+                        if w:
+                            child.append((j2, w, (m2 | mask) & ~bit))
+                        continue
+                if a == prev:
+                    child.append(cand)
+                else:
+                    child.append((j2, a * v2 // prev, m2))
+            if len(child) >= left - 1:
+                if left == 3:
+                    pairs(child, a, live & ~bit, chosen + [j])
+                else:
+                    chosen.append(j)
+                    levels.append([child, 0, a, live & ~bit])
+    finally:
+        census.extensions = state.budget - room
+        for det, n in dets.items():
+            t = _exact_div(det, index)
+            census.count += n
+            census.tau += t * t * n
+            census.torsion_histogram[t] = n
 
 
 def _packed_root(cols, rows, width):
@@ -373,6 +425,7 @@ def enumerate_trees(
     try:
         _dfs(state, root, width)
     except BudgetExceededError:
+        census.extensions = budget + 1
         census.complete = False
         census.warnings += (
             f"enumeration budget of {budget} extensions exceeded; census is partial",

@@ -90,6 +90,14 @@ def linial_meshulam(n, p, seed):
     return SimplicialComplex.from_facets(list(combinations(range(1, n + 1), 2)) + tris)
 
 
+def relabeled(comp, rng):
+    """comp with its vertex labels permuted at random: other face orders,
+    so other first bases, pivot orders and trees."""
+    labels = list(comp.vertices())
+    image = dict(zip(labels, rng.sample(labels, len(labels))))
+    return SimplicialComplex.from_facets([[image[v] for v in f] for f in comp.facets()])
+
+
 def _first_torsion_free_trees(comp, i, want):
     found = []
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from test_acceptance import BIPYR_REDUCED, LM_TORSION, RP2_FACETS, linial_meshulam
+from test_acceptance import BIPYR_REDUCED, LM_TORSION, RP2_FACETS, linial_meshulam, relabeled
 from test_intlinalg import sparse_columns
 from test_trees import lm_moore
 
@@ -520,14 +520,6 @@ def test_pi_product_of_simplex_skeleta():
                 assert pi_product(comp, j) == n ** comb(n - 1, j), (n, k, j)
                 checked += 1
     assert checked == 66
-
-
-def relabeled(comp, rng):
-    """comp with its vertex labels permuted at random: other face orders,
-    so other first bases, pivot orders and trees."""
-    labels = list(comp.vertices())
-    image = dict(zip(labels, rng.sample(labels, len(labels))))
-    return SimplicialComplex.from_facets([[image[v] for v in f] for f in comp.facets()])
 
 
 def test_spectra_and_groups_do_not_depend_on_vertex_labels():

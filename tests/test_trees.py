@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 from itertools import combinations
 from math import comb, prod
 
 import pytest
-from test_acceptance import LM_TORSION, RP2_FACETS, linial_meshulam
+from test_acceptance import LM_TORSION, RP2_FACETS, linial_meshulam, relabeled
 from test_intlinalg import check_column_basis, sparse_columns
 
 from simpcrit import intlinalg, trees
@@ -294,18 +295,24 @@ def test_census_leaf_torsion_matches_smith_form():
         assert t.torsion_order == snf_torsion(comp, t), t
 
 
-def test_leaf_torsion_with_a_twisted_basis(monkeypatch):
-    # the rows may lie outside any (i-1)-basis.  The 2-skeleton of the
-    # 5-simplex holds RP^2, and a 2-basis holding RP^2 has H_1 = Z/2, so
-    # every leaf's minor on the rows outside it is twice its torsion
-    comp = simplex_skeleton(6, 3)
+def twisted_rows(comp):
+    """The 2-faces of ``comp`` outside a column basis of d_2 that holds
+    RP^2: a 2-basis holding RP^2 has H_1 = Z/2."""
     bd = comp.boundary_matrix(2)
     rp2 = [comp.face_index(2, f) for f in RP2_FACETS]
     order = rp2 + [j for j in range(bd.cols) if j not in rp2]
     cols = dict(sparse_columns(bd))
     basis = {j for j, _, taken in column_basis((j, cols[j]) for j in order) if taken}
     assert set(rp2) <= basis
-    rows = [r for r in range(bd.cols) if r not in basis]
+    return [r for r in range(bd.cols) if r not in basis]
+
+
+def test_leaf_torsion_with_a_twisted_basis(monkeypatch):
+    # the rows may lie outside any (i-1)-basis.  The 2-skeleton of the
+    # 5-simplex holds RP^2, so every leaf's minor on the rows outside a
+    # 2-basis holding it is twice its torsion
+    comp = simplex_skeleton(6, 3)
+    rows = twisted_rows(comp)
     monkeypatch.setattr(trees, "_rows_outside_basis", lambda c, i: rows)
     census, leaves = stream_leaves(comp, 3)
     assert (census.count, census.extensions, census.torsion_histogram) == (1296, 11664, {1: 1296})
@@ -338,10 +345,148 @@ def test_pinned_wide_lane_walks():
     assert all(t.torsion_order == 1 for t in leaves)
 
 
+# ---- the census kernel against a leaf-by-leaf stack walk ---------------------
+
+def stack_dfs(state, root, width):
+    """The census kernel as one stack walk that visits every leaf as a
+    level of its own and records it at once: the oracle for ``_dfs``'s
+    pair loop and determinant-keyed counts."""
+    need = state.need
+    half = 1 << (width - 1)
+    digit = (1 << width) - 1
+    chosen = []
+    levels = [[root, 0, 1]]
+    index = None
+    while levels:
+        level = levels[-1]
+        cands, pos, prev = level
+        left = need - len(chosen)
+        if len(cands) - pos < left:
+            levels.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        level[1] = pos + 1
+        j, vec, mask = cands[pos]
+        p = ((vec & -vec).bit_length() - 1) // width
+        shift = p * width
+        if left == 1:
+            tree = chosen + [j]
+            det = abs(vec >> shift)
+            if index is None:
+                index = trees._exact_div(det, state.checked_torsion(tree))
+            record(state, tree, trees._exact_div(det, index))
+            continue
+        state.charge(len(cands) - pos - 1)
+        a = (((vec >> shift) + half) & digit) - half
+        bit = 1 << p
+        low = (1 << (shift + width)) - 1
+        rounding = (1 << shift) >> 1
+        child = []
+        for cand in cands[pos + 1:]:
+            j2, v2, m2 = cand
+            if m2 & bit:
+                c = (((((v2 & low) + rounding) >> shift) + half) & digit) - half
+                if c:
+                    w = (a * v2 - c * vec) // prev
+                    if w:
+                        child.append((j2, w, (m2 | mask) & ~bit))
+                    continue
+            if a == prev:
+                child.append(cand)
+            else:
+                child.append((j2, a * v2 // prev, m2))
+        if len(child) >= left - 1:
+            chosen.append(j)
+            levels.append([child, 0, a])
+
+
+def record(state, chosen, torsion):
+    c = state.census
+    c.count += 1
+    c.tau += torsion * torsion
+    c.torsion_histogram[torsion] = c.torsion_histogram.get(torsion, 0) + 1
+    if state.on_tree is not None and state.on_tree(
+        SpanningTree(c.dimension, tuple(state.faces[j] for j in chosen), torsion)
+    ):
+        raise trees._StopStream
+
+
+def both_kernels(monkeypatch, comp, i, **kwargs):
+    """(census, histogram items, streamed leaves) and the unstreamed census,
+    from ``_dfs`` and from ``stack_dfs``."""
+    runs = []
+    for dfs in (trees._dfs, stack_dfs):
+        with monkeypatch.context() as m:
+            m.setattr(trees, "_dfs", dfs)
+            census, leaves = stream_leaves(comp, i, **kwargs)
+            counted = enumerate_trees(comp, i, budget=kwargs.get("budget", DEFAULT_BUDGET))
+        runs.append((census, list(census.torsion_histogram.items()), leaves, counted))
+    return runs
+
+
+def test_census_kernel_matches_the_stack_walk(monkeypatch):
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
+    cases = [(bipyramid(), 0), (cycle(3), 1), (cycle(4), 1), (sphere(2), 2), (sphere(2), 1),
+             (bipyramid(), 1), (bipyramid(), 2), (rp2_cone, 2), (simplex_skeleton(5, 2), 2)]
+    needs = set()
+    for comp, i in cases:
+        needs.add(required_tree_size(comp, i))
+        new, old = both_kernels(monkeypatch, comp, i)
+        assert new == old and new[0].complete and new[0].count > 0, (comp, i)
+    assert {1, 2, 3} <= needs
+    # every budget cut and every stop point keeps the same partial census
+    for comp in (bipyramid(), rp2_cone):
+        full = enumerate_trees(comp, 2)
+        for budget in range(full.extensions + 1):
+            new, old = both_kernels(monkeypatch, comp, 2, budget=budget)
+            assert new == old and new[0].complete == (budget == full.extensions), (comp, budget)
+    for stop in range(1, 16):
+        new, old = both_kernels(monkeypatch, bipyramid(), 2, stop=stop)
+        assert new == old and len(new[2]) == stop, stop
+
+
+def assert_streamed_census_is_counted(comp, i):
+    census, leaves = stream_leaves(comp, i)
+    counted = enumerate_trees(comp, i)
+    assert census == counted and census.complete
+    assert Counter(t.torsion_order for t in leaves) == census.torsion_histogram
+    return census
+
+
+def test_streamed_and_counted_censuses_agree(monkeypatch):
+    census = assert_streamed_census_is_counted(simplex_skeleton(6, 2), 2)
+    assert (census.count, census.extensions) == (46620, 278544)
+    comp = simplex_skeleton(6, 3)
+    rows = twisted_rows(comp)
+    monkeypatch.setattr(trees, "_rows_outside_basis", lambda c, i: rows)
+    census = assert_streamed_census_is_counted(comp, 3)
+    assert (census.count, census.extensions) == (1296, 11664)
+
+
 def lm_moore(m, n, p, seed):
     """M(m) and the seeded LM(n, p, seed) on its first n vertices: H~_1
     and the trees can both carry torsion."""
     return SimplicialComplex.from_facets(moore(m).facets() + linial_meshulam(n, p, seed).facets())
+
+
+def test_census_is_invariant_under_relabeling():
+    # count, tau and the torsion histogram are invariants of the complex;
+    # the extensions depend on the labels' order, but on nothing else
+    rp2_cone = SimplicialComplex.from_facets(RP2_CONE_FACETS)
+    cases = [(bipyramid(), i) for i in range(3)] + [(moore(3), 2), (rp2_cone, 1), (rp2_cone, 2)]
+    cases += [(lm_moore(2, 6, 0.4, 1), 2), (lm_moore(3, 5, 0.4, 3), 2)]
+    rng = random.Random(20261020)
+    for comp, i in cases:
+        want = enumerate_trees(comp, i)
+        assert want.complete and want.count > 0, (comp, i)
+        for _ in range(3):
+            other = relabeled(comp, rng)
+            got = enumerate_trees(other, i)
+            assert (got.count, got.tau, got.torsion_histogram, got.complete) == (
+                want.count, want.tau, want.torsion_histogram, True), (comp, i)
+            again = SimplicialComplex.from_facets(list(reversed(other.facets())))
+            assert enumerate_trees(again, i) == got, (comp, i)
 
 
 def test_census_matches_brute_force():
@@ -359,6 +504,12 @@ def test_census_matches_brute_force():
     seeded += [lm_moore(2, 5, 0.4, s) for s in (1, 2, 3, 5, 6)]
     seeded += [lm_moore(m, 6, 0.4, s) for m in (2, 3) for s in (1, 2, 3, 5, 6)]
     seeded += [lm_moore(4, 6, 0.4, s) for s in (1, 2, 5)]
+    # Z/2 beside Z/m: RP^2 on vertices 21..26, disjoint from the rest
+    far = [tuple(v + 20 for v in f) for f in RP2_FACETS]
+    seeded += [SimplicialComplex.from_facets(far + list(linial_meshulam(6, 0.6, s).facets()))
+               for s in (4, 6, 10)]
+    seeded += [SimplicialComplex.from_facets(far + list(lm_moore(m, n, 0.4, s).facets()))
+               for m, n, s in ((2, 5, 2), (2, 5, 7), (2, 6, 1), (3, 5, 2), (3, 5, 7), (3, 6, 1))]
     cases += [(comp, 2) for comp in seeded]
     torsion = Counter()
     for comp, i in cases:
@@ -372,7 +523,7 @@ def test_census_matches_brute_force():
         assert census.tau == sum(t * t * n for t, n in histogram.items()), (comp, i)
         assert census.torsion_histogram == histogram, (comp, i)
         torsion.update(histogram)
-    assert {1, 2, 3, 4} <= set(torsion)
+    assert {1, 2, 3, 4, 6} <= set(torsion)
 
 
 def test_full_search_without_apc():
