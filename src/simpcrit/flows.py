@@ -319,6 +319,11 @@ def _certificate(comp, bank):
     return comp._memoized(("chip_certificate", bank), lambda: _build_certificate(deg, adj))
 
 
+def _has_certificate(comp, bank):
+    """Whether ``_certificate`` is memoized for the game, so costs nothing."""
+    return ("chip_certificate", bank) in comp._memo
+
+
 def _odometer_lower_bound(deg, adj, certificate, chips):
     """A nonnegative integer vector below the odometer of ``chips``, or None
     if the step would not pay for its float solve or certifies nothing.
@@ -355,15 +360,20 @@ def stabilize(state: ChipState):
     do not depend on the order of the firings (the abelian property,
     Bjorner-Lovasz-Shor 1991), so batching changes neither.
 
-    After every n^2 worklist steps (n non-bank vertices; about the cost of
-    one float solve of n conjugate-gradient steps), a bulk step fires a
-    certified lower bound v on the odometer still to come at once
-    (``_odometer_lower_bound``) and rebuilds the list.  A step that fires
-    nothing, or whose bound is too small to pay for its solve, doubles
-    the number of worklist steps to the next one, and a graph whose
-    certificate fails its exact check never takes one.  So a call that
-    settles within n^2 steps runs the worklist alone, and a longer one
-    pays for each float solve with at least as much worklist work.
+    A bulk step fires a certified lower bound v on the odometer still to
+    come at once (``_odometer_lower_bound``) and rebuilds the list.  The
+    first check for one comes after n^2 worklist steps (n non-bank
+    vertices; about the cost of one float solve of n conjugate-gradient
+    steps, or of building the game's certificate).  Once the certificate
+    is memoized it comes after sum(deg) <= n^2 steps instead: the check
+    then costs O(n) until its z . b test predicts at least n^2 firings,
+    and only then runs a solve.  Later checks come at least n^2 steps
+    apart, and a check that fires nothing doubles the gap to the next.
+    A graph whose certificate fails its exact check never takes a bulk
+    step.  So a call that settles within sum(deg) steps runs the worklist
+    alone, and no certificate is built before n^2 worklist steps.  On a
+    long cycle (sum(deg) = 2n) the first bulk step comes n/2 times
+    sooner; on a complete graph sum(deg) = n^2, and nothing changes.
 
     Why the output does not change.  Let u be the odometer of the start s
     (its firing counts) and f = s - L~ u the stable result, so
@@ -387,7 +397,8 @@ def stabilize(state: ChipState):
     non_bank, deg, adj, _ = _game(state.complex, state.bank)
     chips = list(state.chips)
     counts = [0] * len(non_bank)
-    budget = len(deg) ** 2
+    n_squared = len(deg) ** 2
+    budget = sum(deg) if _has_certificate(state.complex, state.bank) else n_squared
     # a vertex is on the list iff it is ready, so it is never on it twice
     ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
     while ready:
@@ -403,6 +414,7 @@ def stabilize(state: ChipState):
             if not ready:
                 break
         else:
+            budget = max(budget, n_squared)
             certificate = _certificate(state.complex, state.bank)
             bulk = certificate and _odometer_lower_bound(deg, adj, certificate, chips)
             if not bulk:

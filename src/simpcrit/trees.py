@@ -108,6 +108,11 @@ def _check_dim(comp, i):
         raise ValueError(f"dimension {i} out of range [0, {comp.dim}]")
 
 
+def _check_budget(budget):
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+
+
 def is_spanning_tree(comp: SimplicialComplex, i, top_faces):
     """The SpanningTree on those i-faces, or None if they are not one.
 
@@ -162,6 +167,7 @@ def find_torsion_free_tree(comp, i, *, budget=DEFAULT_BUDGET):
     budget runs out before an answer.
     """
     _check_dim(comp, i)
+    _check_budget(budget)
     if comp.reduced_homology(i - 1).betti:
         return None
     try:
@@ -413,6 +419,7 @@ def enumerate_trees(
     empty, complete and warned of, with no budget spent.
     """
     _check_dim(comp, i)
+    _check_budget(budget)
     if comp.reduced_homology(i - 1).betti:
         why = f"reduced homology in dimension {i - 1} is infinite: no {i}-dimensional spanning trees"
         return TreeCensus(dimension=i, warnings=(why,))

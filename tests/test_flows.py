@@ -560,6 +560,111 @@ def test_bulk_step_matches_worklist(monkeypatch):
     assert 2 * stepped > len(cases), (stepped, len(cases))
 
 
+@pytest.fixture
+def schedule(monkeypatch):
+    """Counts worklist steps, and the count at each bulk-step check and at
+    each certificate build: (steps, checks, builds).  Each worklist step of
+    ``stabilize`` calls divmod once, so a divmod seen from flows counts it."""
+    steps, checks, builds = [0], [], []
+    bound, build = flows._odometer_lower_bound, flows._build_certificate
+
+    def counting_divmod(a, b):
+        steps[0] += 1
+        return divmod(a, b)
+
+    def spy_bound(*args):
+        checks.append(steps[0])
+        return bound(*args)
+
+    def spy_build(*args):
+        builds.append(steps[0])
+        return build(*args)
+
+    monkeypatch.setattr(flows, "divmod", counting_divmod, raising=False)
+    monkeypatch.setattr(flows, "_odometer_lower_bound", spy_bound)
+    monkeypatch.setattr(flows, "_build_certificate", spy_build)
+    return steps, checks, builds
+
+
+def test_memoized_certificate_checks_after_sum_of_degrees(schedule):
+    """With the game's certificate memoized, the first bulk-step check comes
+    after sum(deg) = 62 worklist steps on cycle(32), not n^2 = 961."""
+    steps, checks, builds = schedule
+    comp = cycle(32)
+    assert flows._certificate(comp, 1) is not None and builds == [0]
+    _, deg, _, _ = flows._game(comp, 1)
+    rng = random.Random(20261020)
+    checked = 0
+    for _ in range(60):
+        state = ChipState(comp, 1, tuple(rng.randint(0, 16) for _ in deg))
+        steps[0] = 0
+        checks.clear()
+        final, fired = stabilize(state)
+        assert (final, fired) == stabilize_worklist(state)
+        # a call that settles within sum(deg) steps takes no check
+        first = checks[0] if checks else None
+        assert first == sum(deg) or (first is None and steps[0] <= sum(deg)), (first, steps)
+        checked += bool(checks)
+    assert builds == [0] and checked > 10, checked
+
+
+def test_checks_that_fire_nothing_back_off_from_n_squared(schedule, monkeypatch):
+    """After a check that fires nothing the gap to the next is n^2 doubled,
+    then doubled again, also when the first check came after sum(deg)."""
+    steps, checks, _ = schedule
+    monkeypatch.setattr(flows, "_odometer_lower_bound", lambda *args: checks.append(steps[0]))
+    comp = cycle(32)
+    flows._certificate(comp, 1)
+    state = ChipState(comp, 1, (100,) * 31)
+    assert stabilize(state) == stabilize_worklist(state)
+    gaps = [b - a for a, b in zip([0] + checks, checks)]
+    assert len(gaps) >= 3 and gaps == [62] + [961 << k for k in range(1, len(gaps))], gaps
+
+
+def test_fresh_game_builds_no_certificate_before_n_squared_steps(schedule):
+    steps, checks, builds = schedule
+    rng = random.Random(20261021)
+    cases = [(comp, bank) for comp, bank, _ in bulk_step_graphs()]
+    cases += [(cycle(32), 1), (complete_graph(12), 12)]
+    for comp, bank in cases:
+        _, deg, _, _ = flows._game(comp, bank)
+        state = ChipState(comp, bank, tuple(rng.randint(0, 4 * d) for d in deg))
+        steps[0] = 0
+        builds.clear()
+        checks.clear()
+        stabilize(state)
+        assert all(b >= len(deg) ** 2 for b in builds + checks), (builds, checks)
+    assert builds, "no call was long enough to build a certificate"
+
+
+def test_chip_firing_is_invariant_under_relabeling():
+    """stabilize and critical_representative commute with a vertex
+    relabeling that carries the bank and the chips along, although the
+    worklist order, the float solves and the bulk steps all change."""
+    cases = list(bulk_step_graphs())
+    cases.append((complete_graph(12), 12, random.Random(12)))
+    for comp, bank, rng in cases:
+        _, deg, _, _ = flows._game(comp, bank)
+        state = ChipState(comp, bank, tuple(rng.randint(0, 4 * d) for d in deg))
+        final, fired = stabilize(state)
+        critical = critical_representative(state)
+        labels = comp.vertices()
+        for _ in range(3):
+            # as test_acceptance.relabeled, keeping the permutation
+            perm = dict(zip(labels, rng.sample(labels, len(labels))))
+            image = SimplicialComplex.from_facets(
+                [tuple(perm[v] for v in f) for f in comp.facets()])
+            start = dict(zip((perm[v] for v in state.non_bank), state.chips))
+            moved = ChipState(image, perm[bank], tuple(start[w] for w in sorted(start)))
+            final2, fired2 = stabilize(moved)
+            assert dict(zip(final2.non_bank, final2.chips)) == {
+                perm[v]: c for v, c in zip(final.non_bank, final.chips)}
+            assert fired2 == {perm[v]: k for v, k in fired.items()}
+            critical2 = critical_representative(moved)
+            assert dict(zip(critical2.non_bank, critical2.chips)) == {
+                perm[v]: c for v, c in zip(critical.non_bank, critical.chips)}
+
+
 def test_chip_certificate_is_exact():
     """The memoized g satisfies L~ g >= 1 in exact integers, on every graph
     family the bulk step is tested on and on complete graphs."""

@@ -16,6 +16,7 @@ from simpcrit import (
     cycle,
     enumerate_trees,
     extend_to_conservative,
+    find_torsion_free_tree,
     fire,
     laplacian,
     reduced_laplacian,
@@ -46,6 +47,11 @@ ERRORS = [
     ("verify_smtt", lambda: verify_smtt(B, 0), ValueError, "dimension 0 out of range [1, 2]"),
     ("enumerate_trees", lambda: enumerate_trees(B, B.dim + 1), ValueError,
      "dimension 3 out of range [0, 2]"),
+    # a negative budget is refused before any work, as the CLI refuses --budget -1
+    ("enumerate_trees budget", lambda: enumerate_trees(B, 2, budget=-5), ValueError,
+     "budget must be at least 0, got -5"),
+    ("find_torsion_free_tree budget", lambda: find_torsion_free_tree(B, 2, budget=-1),
+     ValueError, "budget must be at least 0, got -1"),
     # no i-faces above the dimension, and the message names the caller's i
     ("required_tree_size -1", lambda: required_tree_size(B, -1), ValueError,
      "dimension -1 out of range [0, 2]"),
