@@ -413,18 +413,20 @@ def _eliminate_unit_pivots(sparse_rows):
         pc = min(unit_cols)[1]
         del rows[pr]
         p = prow.pop(pc)
-        for cc in prow:
-            cols[cc].discard(pr)
         pcol = cols.pop(pc)
         pcol.discard(pr)
         for s in pcol:
             srow = rows[s]
             f = srow.pop(pc) * p
             for cc, x in prow.items():
-                v = srow.get(cc, 0) - f * x
+                old = srow.get(cc)
+                if old is None:
+                    srow[cc] = -f * x
+                    cols[cc].add(s)
+                    continue
+                v = old - f * x
                 if v:
                     srow[cc] = v
-                    cols[cc].add(s)
                 else:
                     del srow[cc]
                     cols[cc].discard(s)
@@ -433,7 +435,9 @@ def _eliminate_unit_pivots(sparse_rows):
             else:
                 del rows[s]
         for cc in prow:
-            if not cols[cc]:
+            col = cols[cc]
+            col.discard(pr)
+            if not col:
                 del cols[cc]
         units += 1
     return units, _PackedRows(rows.values())

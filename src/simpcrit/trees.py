@@ -31,9 +31,11 @@ cover the nonzero lanes.  A Bareiss step is then a few big-int
 operations on whole columns instead of a loop over entries.  The lane
 width w is set by Hadamard's bound on the minors the search reads, so no
 lane it decodes ever carries into the next (the proof is in ``_dfs``).
-The last two levels run as one pair loop on two decoded lanes per
-column: a leaf is a nonzero 2x2 determinant, counted in a dict keyed by
-its |det| and divided by c once per distinct value when the census is
+The last three levels run on small ints: at three faces left, the three
+live lanes of each column are decoded once, each pivot's children are
+formed lane by lane, and the last two levels are one pair loop, where a
+leaf is a nonzero 2x2 determinant.  Leaves are counted in a dict keyed
+by |det| and divided by c once per distinct value when the census is
 folded.  Only the first leaf and streamed leaves become SpanningTrees.
 """
 
@@ -250,17 +252,25 @@ def _dfs(state, root, width):
     is (a*V2 - c*V) // prev, with mask (m2 | m) less bit p; with c = 0 it
     is V2 itself when a == prev, else a*V2 // prev.
 
-    The last two levels are one loop, ``pairs``: there every candidate
-    lives on the same two lanes, decoded once to (x1, x2), and taking V
-    then V2 gives the leaf whose one lane is (x1*y2 - x2*y1) // prev, the
-    child the step would build; a zero is no leaf.  Leaves are counted in
-    ``dets``, keyed by |det|, and folded into the census once at exit,
-    each det divided exactly by c.  The first leaf reads c off its tree
-    check; only it, and every leaf when ``on_tree`` is set, becomes a
-    SpanningTree.  ``room`` counts the budget down; its spent part is
-    written back to ``extensions`` at exit.
+    The stack holds the levels with four or more faces left; the last
+    three run on small ints.  ``triples`` takes the level with three left:
+    every candidate lives on the same three lanes, decoded once to
+    (x1, x2, x3), and the same step runs on them, with the pivot in the
+    first nonzero lane and each child the two other lanes of
+    (a*V2 - c*V) // prev, or of V2 or a*V2 // prev when c = 0.  ``pairs``
+    takes the last two levels as one loop on the two lanes (x1, x2) of a
+    child: taking V then V2 gives the leaf whose one lane is
+    (x1*y2 - x2*y1) // prev, the child the step would build; a zero is no
+    leaf.  Both charge the budget as the step would, and at the same
+    points.  Leaves are counted in ``dets``, keyed by |det|, and folded
+    into the census once at exit, each det divided exactly by c.  The
+    first leaf reads c off its tree check; only it, and every leaf when
+    ``on_tree`` is set, becomes a SpanningTree.  ``room`` counts the
+    budget down; its spent part is written back to ``extensions`` at
+    exit.
 
-    The lanes never carry.  Every lane the search decodes (a, c, x1, x2)
+    The lanes never carry.  Every lane the search decodes (a and c in a
+    step, x1, x2 and x3 in ``triples``, x1 and x2 at a root of two rows)
     is a minor of order at most ``need`` of the root, whose columns have
     entries 0, +-1 and at most i + 1 nonzeros, so Hadamard's bound gives
     |minor| <= (i + 1)^(need/2) < 2^(width - 1) (see ``enumerate_trees``).  The
@@ -285,16 +295,8 @@ def _dfs(state, root, width):
         )):
             raise _StopStream
 
-    def pairs(cands, prev, live, chosen):
+    def pairs(lanes, prev, chosen):
         nonlocal room
-        lo = live & -live
-        s1 = (lo.bit_length() - 1) * width
-        s2 = ((live ^ lo).bit_length() - 1) * width
-        lanes = []
-        # every lane outside ``live`` is zero, so both reads are exact
-        for j, v, _ in cands:
-            x1 = (((v >> s1) + half) & digit) - half
-            lanes.append((j, x1, (v - (x1 << s1)) >> s2))
         n = len(lanes)
         for pos in range(n - 1):
             room -= n - pos - 1
@@ -310,14 +312,58 @@ def _dfs(state, root, width):
                     else:
                         dets[det] = dets.get(det, 0) + 1
 
+    def triples(cands, prev, live, chosen):
+        nonlocal room
+        lo = live & -live
+        mid = (live ^ lo) & -(live ^ lo)
+        s1 = (lo.bit_length() - 1) * width
+        s2 = (mid.bit_length() - 1) * width
+        s3 = ((live ^ lo ^ mid).bit_length() - 1) * width
+        lanes = []
+        # every lane outside ``live`` is zero, so all three reads are exact
+        for j, v, _ in cands:
+            x1 = (((v >> s1) + half) & digit) - half
+            v -= x1 << s1
+            x2 = (((v >> s2) + half) & digit) - half
+            lanes.append((j, x1, x2, (v - (x2 << s2)) >> s3))
+        n = len(lanes)
+        for pos in range(n - 2):
+            room -= n - pos - 1
+            if room < 0:
+                raise BudgetExceededError
+            t = lanes[pos]
+            # the pivot is the first nonzero lane k; the child keeps q and r
+            k, q, r = (1, 2, 3) if t[1] else (2, 1, 3) if t[2] else (3, 1, 2)
+            j, a, u, w = t[0], t[k], t[q], t[r]
+            child = []
+            for y in lanes[pos + 1:]:
+                c = y[k]
+                if c:
+                    z1 = (a * y[q] - c * u) // prev
+                    z2 = (a * y[r] - c * w) // prev
+                    if z1 or z2:
+                        child.append((y[0], z1, z2))
+                elif a == prev:
+                    child.append((y[0], y[q], y[r]))
+                else:
+                    child.append((y[0], a * y[q] // prev, a * y[r] // prev))
+            if len(child) >= 2:
+                pairs(child, a, chosen + [j])
+
     chosen = []
-    levels = [[root, 0, 1, (1 << need) - 1]] if need > 2 else []
+    levels = [[root, 0, 1, (1 << need) - 1]] if need > 3 else []
     try:
         if need == 1:
             for j, v, _ in root:
                 leaf([j], abs(v))
         elif need == 2:
-            pairs(root, 1, 3, [])
+            lanes = []
+            for j, v, _ in root:
+                x1 = ((v + half) & digit) - half
+                lanes.append((j, x1, (v - x1) >> width))
+            pairs(lanes, 1, [])
+        elif need == 3:
+            triples(root, 1, 7, [])
         while levels:
             level = levels[-1]
             cands, pos, prev, live = level
@@ -356,8 +402,8 @@ def _dfs(state, root, width):
                 else:
                     child.append((j2, a * v2 // prev, m2))
             if len(child) >= left - 1:
-                if left == 3:
-                    pairs(child, a, live & ~bit, chosen + [j])
+                if left == 4:
+                    triples(child, a, live & ~bit, chosen + [j])
                 else:
                     chosen.append(j)
                     levels.append([child, 0, a, live & ~bit])

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -6,7 +8,7 @@ from math import gcd, prod
 
 import pytest
 
-from simpcrit import intlinalg
+from simpcrit import critical, intlinalg
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import laplacian, reduced_laplacian
 from simpcrit.intlinalg import (
@@ -319,6 +321,84 @@ def test_unit_elimination_revisits_updated_rows():
     units, rest = _eliminate_unit_pivots(sparse_rows(a))
     assert (units, rest.ints) == (2, [])
     check_unit_elimination(a)
+
+
+def plain_unit_pivots(sparse_rows):
+    """The unit-pivot elimination with plain set bookkeeping: the pivot row
+    leaves its columns' sets before the Schur update, every nonzero the
+    update writes adds its row to its column's set, and emptied columns
+    are dropped after it.  The oracle for ``_eliminate_unit_pivots``."""
+    rows = {r: row for r, row in enumerate(sparse_rows) if row}
+    cols = {}
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        length, pr = heapq.heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != length:
+            continue
+        unit_cols = [(len(cols[c]), c) for c, x in prow.items() if x == 1 or x == -1]
+        if not unit_cols:
+            continue
+        pc = min(unit_cols)[1]
+        del rows[pr]
+        p = prow.pop(pc)
+        for cc in prow:
+            cols[cc].discard(pr)
+        pcol = cols.pop(pc)
+        pcol.discard(pr)
+        for s in pcol:
+            srow = rows[s]
+            f = srow.pop(pc) * p
+            for cc, x in prow.items():
+                v = srow.get(cc, 0) - f * x
+                if v:
+                    srow[cc] = v
+                    cols[cc].add(s)
+                else:
+                    del srow[cc]
+                    cols[cc].discard(s)
+            if srow:
+                heapq.heappush(heap, (len(srow), s))
+            else:
+                del rows[s]
+        for cc in prow:
+            if not cols[cc]:
+                del cols[cc]
+        units += 1
+    return units, _PackedRows(rows.values())
+
+
+def test_unit_elimination_matches_plain_bookkeeping(monkeypatch):
+    # the same pivots, so the same pivot count and the same packed remainder
+    def same(rows):
+        units, rest = _eliminate_unit_pivots(copy.deepcopy(rows))
+        want, want_rest = plain_unit_pivots(copy.deepcopy(rows))
+        assert (units, rest.ints) == (want, want_rest.ints)
+        return units, rest
+
+    rng = random.Random(20261020)
+    for trial in range(60):
+        m, n = rng.randint(1, 30), rng.randint(1, 30)
+        values = ((-1, 1), (-3, -1, 1, 1, 2, 5), (-2, -1, 2, 3))[trial % 3]
+        same(sparse_rows(sparse_matrix(rng, m, n, rng.uniform(0.05, 0.4), values)))
+    # the block matrices [[I, B^T], [B, 0]] of both K_1 routes on seeded LM
+    seen = []
+    monkeypatch.setattr(critical, "_sparse_invariant_factors", lambda rows: seen.append(
+        copy.deepcopy(rows)) or intlinalg._sparse_invariant_factors(rows))
+    for n, p, seed in ((6, 0.5, 3), (8, 0.3, 1), (9, 0.3, 1), (10, 0.2, 2), (12, 0.25, 1)):
+        tri_rng = random.Random(seed)
+        tris = [t for t in combinations(range(1, n + 1), 3) if tri_rng.random() < p]
+        comp = SimplicialComplex.from_facets(list(combinations(range(1, n + 1), 2)) + tris)
+        critical.critical_group_direct(comp, 1)
+        tree = find_torsion_free_tree(comp, 1)
+        critical.critical_group_reduced(comp, 1, tree)
+    assert len(seen) == 10
+    assert any(same(rows)[1].ints for rows in seen)
 
 
 # ---- the packed diagonalization against the list-row one it replaced --------

@@ -435,15 +435,19 @@ def test_census_kernel_matches_the_stack_walk(monkeypatch):
         new, old = both_kernels(monkeypatch, comp, i)
         assert new == old and new[0].complete and new[0].count > 0, (comp, i)
     assert {1, 2, 3} <= needs
-    # every budget cut and every stop point keeps the same partial census
-    for comp in (bipyramid(), rp2_cone):
+    # every budget cut and every stop point keeps the same partial census;
+    # the level-3 pivots of ss(5, 2) fall in each of the three live lanes
+    ss52 = simplex_skeleton(5, 2)
+    for comp in (bipyramid(), rp2_cone, ss52):
         full = enumerate_trees(comp, 2)
         for budget in range(full.extensions + 1):
             new, old = both_kernels(monkeypatch, comp, 2, budget=budget)
             assert new == old and new[0].complete == (budget == full.extensions), (comp, budget)
-    for stop in range(1, 16):
-        new, old = both_kernels(monkeypatch, bipyramid(), 2, stop=stop)
-        assert new == old and len(new[2]) == stop, stop
+    assert full.extensions == 593
+    for comp, stops in ((bipyramid(), 15), (ss52, 125)):
+        for stop in range(1, stops + 1):
+            new, old = both_kernels(monkeypatch, comp, 2, stop=stop)
+            assert new == old and len(new[2]) == stop, (comp, stop)
 
 
 def assert_streamed_census_is_counted(comp, i):
