@@ -491,8 +491,6 @@ def build_parser():
                         help="read facets from a file, one per line")
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="emit a JSON report")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized subcommands")
 
     def leaf(subs, command, run, *, top_dim=None, **kwargs):
         """The subparser of ``command`` bound to its handler; a top_dim of
@@ -569,13 +567,14 @@ def build_parser():
     cl.add_argument("--chips")
     cl.add_argument("--chips2")
     cl.add_argument("--samples", type=int, default=20)
+    cl.add_argument("--seed", type=int, default=0, help="seed for the random pairs")
 
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for attr, default in (("gen", None), ("facets", None), ("json", False), ("seed", 0)):
+    for attr, default in (("gen", None), ("facets", None), ("json", False)):
         if not hasattr(args, attr):
             setattr(args, attr, default)
     warnings = []
@@ -585,6 +584,8 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{flag} must be at least {low}, got {getattr(args, flag)}")
         if args.run is _cmd_verify_simplex:
             # the one command that builds its own complex
+            if args.gen is not None or args.facets is not None:
+                raise ValueError("verify simplex builds its own complex; give no --gen or --facets")
             comp, source = None, f"gen simplex-skeleton {args.n} {args.n - 1}"
         else:
             comp, source = _load_complex(args)

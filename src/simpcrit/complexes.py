@@ -215,13 +215,13 @@ class SimplicialComplex:
         return all(self.reduced_homology(j).betti == 0 for j in range(-1, k))
 
     def skeleton(self, k) -> "SimplicialComplex":
-        """The subcomplex of all faces of dimension at most k."""
+        """The subcomplex of all faces of dimension at most k: the face
+        lists of dimensions -1..k, which are sorted and downward closed."""
         if not 0 <= k <= self.dim:
             raise ValueError(f"skeleton dimension {k} out of range [0, {self.dim}]")
         if k == self.dim:
             return self
-        all_faces = [f for j in range(k + 1) for f in self._faces[j]]
-        return SimplicialComplex.from_facets(all_faces)
+        return SimplicialComplex({j: self._faces[j] for j in range(-1, k + 1)})
 
     # -- value semantics ----------------------------------------------
 

@@ -45,7 +45,8 @@ fixed min-|value| pivot rule, which it keeps.  When it takes the pivot
 at (t, t), the rows above t are finished and zero in every column >= t,
 so its clearing steps touch only the nonzeros of row and column t.  A
 row of U, U * v and V * y are each one pass over a log
-(``_apply_log``); U and V are replayed as matrices only when read.
+(``_apply_log``); U, V and their inverses are built, row by row through
+the same pass, only when read.
 """
 
 from __future__ import annotations
@@ -179,10 +180,10 @@ class SmithForm:
     """U * A * V = diag(d) with U, V unimodular and d_1 | d_2 | ... | d_r > 0.
 
     The elimination of A (of ``shape`` m x n) only logs its row and column
-    operations; each transform is replayed from a log when first read, a
-    column operation on A being the same row operation on V^T.  The
-    library itself reads rows of U and the products U * v and V * y off
-    the logs (``_apply_log``) and builds none of the four.
+    operations; each transform is built from a log when first read, row by
+    row through ``_apply_log``, a column operation on A being the same row
+    operation on V^T.  The library itself reads rows of U and the products
+    U * v and V * y off the logs and builds none of the four.
     """
 
     d: tuple
@@ -191,10 +192,10 @@ class SmithForm:
     row_log: tuple
     col_log: tuple
 
-    u = cached_property(lambda self: _replay(self.row_log, self.shape[0]))
-    u_inv = cached_property(lambda self: _replay(self.row_log, self.shape[0], undo=True))
-    v = cached_property(lambda self: _replay(self.col_log, self.shape[1]).transpose())
-    v_inv = cached_property(lambda self: _replay(self.col_log, self.shape[1], undo=True).transpose())
+    u = cached_property(lambda self: _log_rows(self.row_log, self.shape[0]))
+    u_inv = cached_property(lambda self: _log_rows(_inverse_log(self.row_log), self.shape[0]))
+    v = cached_property(lambda self: _log_rows(self.col_log, self.shape[1]).transpose())
+    v_inv = cached_property(lambda self: _log_rows(_inverse_log(self.col_log), self.shape[1]).transpose())
 
 
 @dataclass(frozen=True)
@@ -233,29 +234,11 @@ def _select_pivot(A, t, m, n):
     return (bi, bj) if best else None
 
 
-def _replay(log, size, undo=False):
-    """E_k...E_1 for the logged row operations E_1..E_k, or E_1^-1...E_k^-1
-    with ``undo``: (i, k, None) swaps rows i and k, (i, None, -1) negates
-    row i, and (i, k, q) adds q times row k to row i (-q to undo it)."""
-    m = IntMatrix.diagonal([1] * size)
-    rows = m.data
-    for i, k, q in reversed(log) if undo else log:
-        if q is None:
-            rows[i], rows[k] = rows[k], rows[i]
-        elif k is None:
-            rows[i] = [-x for x in rows[i]]
-        else:
-            q = -q if undo else q
-            ri = rows[i]
-            for j, y in enumerate(rows[k]):
-                if y:
-                    ri[j] += q * y
-    return m
-
-
 def _apply_log(log, v, back=False, mod=0):
     """v, a list changed in place and returned, under a logged operation
-    sequence E_1..E_k (each an (i, k, q) of ``_replay``).
+    sequence E_1..E_k.  Each E is an (i, k, q): (i, k, None) swaps rows i
+    and k, (i, None, -1) negates row i, and (i, k, q) adds q times row k
+    to row i.
 
     Forward this is E_k...E_1 * v: (i, k, q) adds q * v[k] to v[i], so a
     row log gives U * v.  ``back`` runs the transposed operations last
@@ -283,6 +266,19 @@ def _apply_log(log, v, back=False, mod=0):
         elif v[i]:
             v[k] = (v[k] + q * v[i]) % mod if mod else v[k] + q * v[i]
     return v
+
+
+def _log_rows(log, size):
+    """E_k...E_1 for the logged operations E_1..E_k: row j is e_j passed
+    backward through the log."""
+    return IntMatrix(size, size, [_apply_log(log, [int(k == j) for k in range(size)], back=True)
+                                  for j in range(size)])
+
+
+def _inverse_log(log):
+    """The log of (E_k...E_1)^-1 = E_1^-1...E_k^-1: reversed, each add
+    negated; a swap and a negation are their own inverses."""
+    return [(i, k, q if q is None or k is None else -q) for i, k, q in reversed(log)]
 
 
 def _snf_engine(a_data, m, n, row_log, col_log):
@@ -365,7 +361,7 @@ def _snf_engine(a_data, m, n, row_log, col_log):
 
 def smith_normal_form(a: IntMatrix) -> SmithForm:
     """Smith normal form with its row and column logs; the unimodular
-    transforms and their inverses are replayed from them when first read.
+    transforms and their inverses are built from them when first read.
 
     Deterministic: the pivot is always the nonzero entry of minimal
     absolute value, ties broken by lowest (row, col).

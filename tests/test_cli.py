@@ -1,9 +1,12 @@
+import argparse
 import errno
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,11 @@ INPUT_ERRORS = [
     (("--gen", "bipyramid", "verify", "smtt", "--dim", "2", "--budget", "-1"),
      "--budget must be at least 0, got -1"),
     (("verify", "simplex", "--n", "100000", "--k", "0"), "need 1 <= k <= n - 2"),
+    # verify simplex builds its own complex: a given one is refused, not dropped
+    (("--facets", "missing.txt", "verify", "simplex", "--n", "5", "--k", "2", "--json"),
+     "verify simplex builds its own complex; give no --gen or --facets"),
+    (("--gen", "bipyramid", "verify", "simplex", "--n", "5", "--k", "2"),
+     "verify simplex builds its own complex; give no --gen or --facets"),
     (("verify", "simplex", "--n", "9999999999999999999999", "--k", "1"),
      "Python int too large to convert to C ssize_t"),
     (("--gen", "complete 9999999999999999999999", "info"),
@@ -460,6 +468,14 @@ def test_chip_group_law_random(capsys):
     assert rep["result"]["pairs_checked"] == 10
 
 
+def test_seed_is_a_flag_of_group_law_alone(capsys):
+    # no other command draws random numbers, so none takes --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["--gen", "bipyramid", "info", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_chip_group_law_explicit_pair(capsys):
     code, rep, _ = run_json(
         capsys, "--gen", "cycle 5", "chip", "group-law", "--bank", "5",
@@ -589,3 +605,157 @@ def test_text_report_is_pinned_byte_for_byte(capsys):
     code, out, _ = run_cli(capsys, "--gen", "bipyramid", "trees", "--dim", "2", "--stream")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "140e1625d30ea19f"
+
+
+# ---- seeded fuzz ----------------------------------------------------------------------
+
+# The fuzz's seed and grammar are fixed; a failing vector is a fault to
+# mend, not a reason to change either.  Every source has at most 8
+# vertices and every budget is at most 10^4, so no vector starts a long
+# build.  Most values fit the source (a chain with one entry per face, a
+# face, a vertex), so most vectors get past the input checks.
+FUZZ_SEED = 20261020
+FUZZ_VECTORS = 500
+FUZZ_GENS = ["bipyramid", "cycle 3", "cycle 8", "complete 2", "complete 6", "simplex-skeleton 6 2",
+             "simplex-skeleton 8 3", "simplex-skeleton 5 0", "sphere 0", "sphere 2", "sphere 6",
+             "cycle 2", "moore 1", "sphere -1", "dodecahedron", "", "cycle x", "bipyramid 3",
+             "complete 9999999999999999999999"]
+FUZZ_FILES = {
+    "rp2.txt": "".join(" ".join(map(str, f)) + "\n" for f in RP2_FACETS).encode(),
+    "triangle.txt": b"# the triangle boundary\n1 2\n1 3\n2 3\n",
+    "cone.txt": "".join(" ".join(map(str, f)) + "\n" for f in CONE_TETRA_FACETS).encode(),
+    "latin1.txt": b"1 2 3\n\xff\xfe 4\n",
+    "empty.txt": b"",
+    "blank.txt": b"# nothing\n\n",
+    "dup.txt": b"1 2 2\n2 3\n",
+    "zero.txt": b"0 1 2\n1 2 3\n",
+    "negative.txt": b"-1 2 3\n2 3 4\n",
+    "huge.txt": b"12345678901234567890 2 3\n2 3 4\n98765432109876543210 4\n",
+}
+FUZZ_JUNK = ["-1", "0", "x", "", "99999999999999999999"]
+
+
+def fuzz_sources():
+    """(argv, complex or None) for every source of the grammar; run where
+    the facet files are."""
+
+    def load(gen=None, facets=None):
+        try:
+            return cli._load_complex(argparse.Namespace(gen=gen, facets=facets))[0]
+        except (ValueError, OverflowError):
+            return None
+
+    return ([(["--facets", "missing.txt"], None), (["--gen", "bipyramid", "--facets", "triangle.txt"], None)]
+            + [(["--gen", g], load(gen=g)) for g in FUZZ_GENS]
+            + [(["--facets", f], load(facets=f)) for f in sorted(FUZZ_FILES)])
+
+
+def fuzz_vector(rng, sources):
+    """(command, argv): a source, a subcommand shape and its flags, each
+    drawn from the fixed grammar above; some flags are left out, some
+    values are junk."""
+    good = [s for s in sources if s[1] is not None]
+    source, comp = rng.choice(good if rng.random() < 0.75 else sources)
+    fits = comp is not None and rng.random() < 0.9
+    d = rng.randint(0, comp.dim) if fits else rng.choice([-1, 0, 1, 2, 6])
+
+    def faces():
+        return comp.faces(d) if fits and 0 <= d <= comp.dim else ()
+
+    def junk(value):
+        return rng.choice(FUZZ_JUNK) if rng.random() < 0.08 else value
+
+    def chain(size=None):
+        n = len(faces()) if size is None else size
+        n = n if fits and rng.random() < 0.8 else rng.randint(0, 10)
+        return junk(",".join(str(rng.randint(0, 3)) for _ in range(n)))
+
+    def theta():
+        return chain(comp._cycle_rank(d) if faces() else 0)
+
+    def face():
+        fs = faces()
+        f = rng.choice(fs) if fs and rng.random() < 0.8 else rng.sample(range(0, 10), rng.randint(0, 3))
+        return junk(" ".join(map(str, f)))
+
+    def bank():
+        vs = comp.vertices() if fits else ()
+        return junk(str(rng.choice(vs))) if vs else rng.choice(FUZZ_JUNK + ["1", "5"])
+
+    def chips():
+        return chain(len(comp.vertices()) - 1 if fits else 0)
+
+    def dim():
+        return junk(str(d))
+
+    def budget():
+        return junk(rng.choice(["0", "1", "10", "100", "10000"]))
+
+    def tree():
+        return rng.choice(["auto", "auto", "rp2.txt", "triangle.txt", "missing.txt", "dup.txt"])
+
+    def small(*values):
+        return lambda: junk(rng.choice(values))
+
+    D, B, T = ("--dim", dim), ("--budget", budget), ("--tree", tree)
+    C, F = ("--config", chain), ("--face", face)
+    K, Ch = ("--bank", bank), ("--chips", chips)
+    shapes = [
+        ("info",), ("critical-group", D, T), ("trees", D, B, ("--census", None), ("--stream", None)),
+        ("verify smtt", D, B), ("verify main-thm", D, B, ("--trees", small("1", "3"))),
+        ("verify sphere",), ("verify simplex", ("--n", small("3", "5", "8")), ("--k", small("1", "2", "3"))),
+        ("verify alt-product", D), ("flow fire", D, C, F), ("flow extend", D, ("--theta", theta), T),
+        ("flow equiv", D, C, ("--config2", chain)), ("flow canonical", D, C, T),
+        ("chip stabilize", K, Ch), ("chip recurrent", K, Ch), ("chip representative", K, Ch),
+        ("chip group-law", K, ("--chips", chips), ("--chips2", chips), ("--samples", small("1", "3")),
+         ("--seed", small("0", "7"))),
+    ]
+    required = {"--dim", "--n", "--k", "--bank", "--config", "--config2", "--theta", "--face"}
+    shape = rng.choice(shapes)
+    flags = []
+    for flag, value in shape[1:]:
+        if flag == "--budget":
+            odds = 1  # the default budget is far above 10^4
+        elif value is None:
+            odds = 0.3
+        elif flag in required or flag == "--chips" and shape[0] != "chip group-law":
+            odds = 0.97
+        else:
+            odds = 0.5
+        if rng.random() < odds:
+            flags += [flag] if value is None else [flag, value()]
+    if rng.random() < 0.5:
+        flags.append("--json")
+    if rng.random() < 0.03:
+        flags += [rng.choice(["--bogus", "--seed", "--gen"]), "1"]
+    if shape[0] == "verify simplex" and rng.random() < 0.7:
+        source = []
+    head, tail = (source, []) if rng.random() < 0.7 else ([], source)
+    return shape[0], head + shape[0].split() + flags + tail
+
+
+def test_seeded_cli_fuzz_exits_with_a_known_code(tmp_path, monkeypatch, capsys):
+    # each vector ends in 0, 2 (argparse's SystemExit(2) included), 3, 4
+    # or 5, and no exception escapes cli.main
+    monkeypatch.chdir(tmp_path)
+    for name, data in FUZZ_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    sources = fuzz_sources()
+    rng = random.Random(FUZZ_SEED)
+    seen = Counter()
+    for _ in range(FUZZ_VECTORS):
+        command, argv = fuzz_vector(rng, sources)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # name the vector that raised
+            pytest.fail(f"{argv} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5), (argv, code)
+        if command == "verify simplex" and ("--gen" in argv or "--facets" in argv):
+            assert code == 2, argv
+        seen[code] += 1
+    # the vectors reach results, hypothesis violations and budget cuts,
+    # not only input errors: a quarter or more get a full answer
+    assert {0, 2, 3, 4} <= set(seen) and seen[0] >= FUZZ_VECTORS // 4, seen

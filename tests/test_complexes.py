@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from test_acceptance import RP2_FACETS
+from test_acceptance import RP2_FACETS, linial_meshulam
 from test_intlinalg import frac_rank
 
 from simpcrit.complexes import SimplicialComplex, make_face
@@ -10,6 +10,7 @@ from simpcrit.generators import (
     complete_graph,
     cycle,
     full_simplex,
+    moore,
     simplex_skeleton,
     sphere,
 )
@@ -211,6 +212,17 @@ def test_skeleton():
     assert full_simplex(4).skeleton(3) is full_simplex(4) or \
         full_simplex(4).skeleton(3) == full_simplex(4)
     assert sphere(2).skeleton(1) == complete_graph(4)
+    # the face lists of a skeleton are the closure of its faces, so it
+    # equals the complex those faces generate, with the same key and hash
+    for comp in (bipyramid(), moore(5), simplex_skeleton(20, 3), linial_meshulam(12, 0.5, 1)):
+        for k in range(comp.dim + 1):
+            skel = comp.skeleton(k)
+            closed = SimplicialComplex.from_facets([f for j in range(k + 1) for f in comp.faces(j)])
+            assert skel == closed and skel._key == closed._key and hash(skel) == hash(closed)
+            assert skel.f_vector() == comp.f_vector()[:k + 2]
+        for k in (-1, comp.dim + 1):
+            with pytest.raises(ValueError, match=rf"skeleton dimension {k} out of range \[0, {comp.dim}\]"):
+                comp.skeleton(k)
 
 
 def test_facets_listing():

@@ -562,6 +562,31 @@ def test_groups_of_a_disjoint_union_are_direct_sums():
             assert critical_group_direct(union, i) == want, (comp, i)
 
 
+def suspension(comp):
+    """The suspension K * S^0: each facet coned from each of two new
+    apexes above the largest label."""
+    top = max(comp.vertices())
+    return SimplicialComplex.from_facets([f + (a,) for a in (top + 1, top + 2) for f in comp.facets()])
+
+
+def test_suspension_shifts_reduced_homology_up_by_one():
+    # H~_(i+1)(SK) = H~_i(K) for every i, torsion included: M(3) has
+    # H~_1 = Z/3 (the unions' torsion is in their 2-trees, H~_1 = 0 there);
+    # SK is connected, so H~_0(SK) = 0
+    fixtures = (moore(3), bipyramid(), linial_meshulam(9, 0.5, 1), linial_meshulam(12, 0.4, 2),
+                lm_moore(2, 6, 0.4, 1), lm_moore(3, 5, 0.4, 3))
+    checked = 0
+    for comp in fixtures:
+        susp = suspension(comp)
+        assert susp.dim == comp.dim + 1
+        assert susp.reduced_homology(0) == AbelianGroup(0, ())
+        for i in range(-1, comp.dim + 1):
+            assert susp.reduced_homology(i + 1) == comp.reduced_homology(i), (comp, i)
+            checked += 1
+    assert checked == 24
+    assert suspension(moore(3)).reduced_homology(2) == AbelianGroup(0, (3,))
+
+
 # 20 seeded LM(n, p, seed), n <= 14, none of them in LM_PDET
 LM_PI = [
     (n, p, seed)
