@@ -25,14 +25,16 @@ a designated bank vertex).  ``stabilize`` runs a worklist of ready
 vertices; in a long run it also fires, at once, a lower bound on the
 firing counts still to come that a float solve of the reduced Laplacian
 proposes and exact integer arithmetic certifies, so piles of any size
-and long cycles settle in a few solves.  The certificate it needs, an
-integer g with L~ g >= 1, is built once per (complex, bank) as well.
+and long cycles settle in a few solves.  What the step needs, an integer
+g with L~ g >= 1 and a sparse LDL^T factor of the reduced Laplacian L~
+for the solves, is built once per (complex, bank) as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import mul
 
 from .complexes import SimplicialComplex, make_face
@@ -266,6 +268,7 @@ def is_stable(state: ChipState) -> bool:
 
 
 _SCALE_BITS = 40  # bulk-step solutions are fixed point with this many fraction bits
+_TOP_BITS = 60  # a bulk step solves for the top this many bits of each pile
 
 
 def _apply_laplacian(deg, adj, x):
@@ -279,38 +282,60 @@ def _apply_laplacian(deg, adj, x):
     return out
 
 
-def _solve_float(deg, adj, b):
-    """An approximate solution of L~ y = b in floats by conjugate gradients
-    (L~ is symmetric positive definite on a connected graph with a bank);
+def _factor(deg, adj):
+    """The float LDL^T factor of L~, one (vertex p, pivot d_p, later
+    vertices i, multipliers L[i][p]) per elimination step.  Each step takes
+    a vertex of least current degree off a lazy heap, as
+    ``intlinalg._eliminate_unit_pivots`` does, so paths, cycles and trees
+    get no fill-in.  L~ and its Schur complements are irreducible, diagonally
+    dominant M-matrices, so every pivot is positive and none needs a swap."""
+    rows = {p: {p: float(d), **dict.fromkeys(a, -1.0)} for p, (d, a) in enumerate(zip(deg, adj))}
+    heap = sorted((len(row), p) for p, row in rows.items())
+    factor = []
+    while heap:
+        length, p = heappop(heap)
+        if len(rows.get(p, ())) != length:
+            continue  # stale: eliminated, or its row changed since the push
+        prow = rows.pop(p)
+        d = prow.pop(p)
+        for i, a in prow.items():
+            row = rows[i]
+            del row[p]
+            f = a / d
+            for j, b in prow.items():  # j == i updates the diagonal
+                row[j] = row.get(j, 0.0) - f * b
+            heappush(heap, (len(row), i))
+        factor.append((p, d, tuple(prow), tuple(a / d for a in prow.values())))
+    return factor
+
+
+def _solve_float(factor, b):
+    """An approximate solution of L~ y = b in floats from its LDL^T factor:
+    a forward pass, the diagonal and a backward pass, O(factor nonzeros);
     only a proposal, which callers certify in integers."""
-    y = [0.0] * len(b)
-    r = [float(x) for x in b]
-    p = list(r)
-    rr = sum(map(mul, r, r))
-    # stop at a relative residual of 2^-40, or after n steps
-    tol = rr * 2.0**-80
-    for _ in range(len(b)):
-        if rr <= tol:
-            break
-        q = _apply_laplacian(deg, adj, p)
-        alpha = rr / sum(map(mul, p, q))
-        y = [yi + alpha * pi for yi, pi in zip(y, p)]
-        r = [ri - alpha * qi for ri, qi in zip(r, q)]
-        rr, old = sum(map(mul, r, r)), rr
-        p = [ri + rr / old * pi for ri, pi in zip(r, p)]
+    y = [float(x) for x in b]
+    for p, d, later, mults in factor:
+        yp = y[p]
+        for i, m in zip(later, mults):
+            y[i] -= m * yp
+        y[p] = yp / d
+    for p, _, later, mults in reversed(factor):
+        y[p] -= sum(map(mul, mults, map(y.__getitem__, later)))
     return y
 
 
 def _build_certificate(deg, adj):
-    """(g, z): an integer g with L~ g >= 1 entrywise, checked exactly, and
-    the float z ~ L~^-1 * 1 it came from; None if g fails its check.
+    """(g, z, factor): an integer g with L~ g >= 1 entrywise, checked
+    exactly, the float z ~ L~^-1 * 1 it came from and the LDL^T factor of
+    L~ (``_factor``) that solved for z; None if g fails its check.
     L~ g >= 1 and L~^-1 >= 0 give g >= L~^-1 * 1."""
-    z = _solve_float(deg, adj, [1] * len(deg))
+    factor = _factor(deg, adj)
+    z = _solve_float(factor, [1] * len(deg))
     # rounding up perturbs each entry of L~ g by more than -deg, so scale
     # z by max(deg) + 2 to keep L~ g >= 1 through the float error
     lift = max(deg) + 2
     g = [math.ceil(lift * x) for x in z]
-    return (g, z) if min(_apply_laplacian(deg, adj, g)) >= 1 else None
+    return (g, z, factor) if min(_apply_laplacian(deg, adj, g)) >= 1 else None
 
 
 def _certificate(comp, bank):
@@ -333,17 +358,17 @@ def _odometer_lower_bound(deg, adj, certificate, chips):
     r = 2^40 b - L~ y_S has r >= -rho with rho = max(0, -min r), so
     2^40 L~^-1 b = y_S + L~^-1 r >= y_S - rho * g.
     """
-    g, z = certificate
+    g, z, factor = certificate
     b = [c - d + 1 for c, d in zip(chips, deg)]
-    # keep the top 60 bits of each entry, so that huge piles convert to floats
-    shift = max(0, max(map(abs, b)).bit_length() - 60)
+    # keep the top bits of each entry, so that huge piles convert to floats
+    shift = max(0, max(map(abs, b)).bit_length() - _TOP_BITS)
     b_top = [x >> shift for x in b] if shift else b
     # z . b is the sum of L~^-1 b (L~ is symmetric), about what the step
-    # fires; each worklist step fires at least once and a solve costs about
-    # n^2 of them, so a smaller bound does not pay for its solve
+    # fires; each worklist step fires at least once, so a step that would
+    # fire fewer than n^2 saves less than the gap between later checks
     if sum(map(mul, z, b_top)) < len(b) ** 2 >> shift:
         return None
-    y = _solve_float(deg, adj, b_top)
+    y = _solve_float(factor, b_top)
     y_s = [round(x * 2**_SCALE_BITS) << shift for x in y]
     r = _apply_laplacian(deg, adj, y_s)
     rho = max(0, max(ly - (x << _SCALE_BITS) for ly, x in zip(r, b)))
@@ -363,17 +388,17 @@ def stabilize(state: ChipState):
     A bulk step fires a certified lower bound v on the odometer still to
     come at once (``_odometer_lower_bound``) and rebuilds the list.  The
     first check for one comes after n^2 worklist steps (n non-bank
-    vertices; about the cost of one float solve of n conjugate-gradient
-    steps, or of building the game's certificate).  Once the certificate
-    is memoized it comes after sum(deg) <= n^2 steps instead: the check
-    then costs O(n) until its z . b test predicts at least n^2 firings,
-    and only then runs a solve.  Later checks come at least n^2 steps
-    apart, and a check that fires nothing doubles the gap to the next.
-    A graph whose certificate fails its exact check never takes a bulk
-    step.  So a call that settles within sum(deg) steps runs the worklist
-    alone, and no certificate is built before n^2 worklist steps.  On a
-    long cycle (sum(deg) = 2n) the first bulk step comes n/2 times
-    sooner; on a complete graph sum(deg) = n^2, and nothing changes.
+    vertices).  Once the certificate is memoized it comes after
+    sum(deg) <= n^2 steps instead: the check then costs O(n) until its
+    z . b test predicts at least n^2 firings, and only then runs a solve.
+    Later checks come at least n^2 steps apart, and a check that fires
+    nothing doubles the gap to the next.  A step solves for the top 60
+    bits of each pile, so while a pile is longer after it, the next step
+    comes at once.  A graph whose certificate fails its exact check never
+    takes a bulk step.  So a call that settles within sum(deg) steps runs
+    the worklist alone, and no certificate is built before n^2 worklist
+    steps.  On a long cycle (sum(deg) = 2n) the first bulk step comes n/2
+    times sooner; on a complete graph sum(deg) = n^2, and nothing changes.
 
     Why the output does not change.  Let u be the odometer of the start s
     (its firing counts) and f = s - L~ u the stable result, so
@@ -420,8 +445,13 @@ def stabilize(state: ChipState):
             if not bulk:
                 budget *= 2
                 continue
-            chips = [c - x for c, x in zip(chips, _apply_laplacian(deg, adj, bulk))]
-            counts = [n + x for n, x in zip(counts, bulk)]
+            while bulk:
+                chips = [c - x for c, x in zip(chips, _apply_laplacian(deg, adj, bulk))]
+                counts = [n + x for n, x in zip(counts, bulk)]
+                # the step saw the top bits of each pile: if one is longer, take the next at once
+                if max(map(abs, chips)).bit_length() <= _TOP_BITS:
+                    break
+                bulk = _odometer_lower_bound(deg, adj, certificate, chips)
             ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
     return ChipState(state.complex, state.bank, tuple(chips)), dict(zip(non_bank, counts))
 

@@ -479,16 +479,21 @@ def reduced_laplacian_times(state, fired):
 
 
 def test_stabilize_huge_piles():
-    for comp in (complete_graph(12), cycle(12)):
-        for pile in (10**20, 10**400):
-            start = (pile,) + (0,) * 10
-            state = ChipState(comp, 12, start)
-            clock = time.process_time()
-            final, fired = stabilize(state)
-            assert time.process_time() - clock < 1.0
-            moved = reduced_laplacian_times(state, fired)
-            assert final.chips == tuple(c - m for c, m in zip(start, moved))
-            assert is_stable(final) and min(final.chips) >= 0
+    """A pile of 10^400 settles exactly and fast, also on cycle(400) and the
+    20 x 20 grid, where each bulk step is followed at once by the next while
+    a pile is longer than the top bits a step solves for."""
+    cases = [(comp, 12, pile, 1.0) for comp in (complete_graph(12), cycle(12))
+             for pile in (10**20, 10**400)]
+    cases += [(cycle(400), 400, 10**400, 2.0), (grid_graph(20, 20), 1, 10**400, 2.0)]
+    for comp, bank, pile, seconds in cases:
+        start = (pile,) + (0,) * (len(comp.vertices()) - 2)
+        state = ChipState(comp, bank, start)
+        clock = time.process_time()
+        final, fired = stabilize(state)
+        assert time.process_time() - clock < seconds
+        moved = reduced_laplacian_times(state, fired)
+        assert final.chips == tuple(c - m for c, m in zip(start, moved))
+        assert is_stable(final) and min(final.chips) >= 0 and min(fired.values()) >= 0
 
 
 def stabilize_worklist(state):
@@ -674,10 +679,47 @@ def test_chip_certificate_is_exact():
         state = ChipState(comp, bank, (0,) * (len(comp.vertices()) - 1))
         certificate = flows._certificate(comp, bank)
         assert certificate is not None
-        g, _ = certificate
+        g, _, _ = certificate
         assert all(type(x) is int for x in g)
         assert min(reduced_laplacian_times(state, dict(zip(state.non_bank, g)))) >= 1
         assert flows._certificate(comp, bank) is certificate
+
+
+def test_chip_factor_pivots_are_positive_and_solves_are_accurate():
+    """The LDL^T factor of L~ eliminates every non-bank vertex once with a
+    positive pivot, and its solve leaves max|L~ y - b| <= 2^-30 max|b|."""
+    rng = random.Random(20261022)
+    cases = [(comp, bank) for comp, bank, _ in bulk_step_graphs()]
+    cases += [(grid_graph(20, 20), 1)] + [(complete_graph(n), n) for n in (3, 12, 30)]
+    for comp, bank in cases:
+        state = ChipState(comp, bank, (0,) * (len(comp.vertices()) - 1))
+        _, _, factor = flows._certificate(comp, bank)
+        assert sorted(p for p, _, _, _ in factor) == list(range(len(state.chips)))
+        assert all(d > 0 for _, d, _, _ in factor)
+        for b in ([1] * len(state.chips), [rng.randint(-10**6, 10**6) for _ in state.chips]):
+            y = flows._solve_float(factor, b)
+            lhs = reduced_laplacian_times(state, dict(zip(state.non_bank, y)))
+            assert max(abs(x - c) for x, c in zip(lhs, b)) <= 2**-30 * max(map(abs, b))
+
+
+def test_chip_factor_has_no_fill_on_paths_cycles_and_trees():
+    """Least-degree elimination keeps the factor of a path, a cycle or a
+    tree at one off-diagonal entry per edge off the bank, so its solves
+    take O(n)."""
+    rng = random.Random(20261023)
+    cases = [(comp, bank) for comp, bank, _ in bulk_step_graphs()
+             if max(map(len, comp.neighbors().values())) <= 2]
+    for _ in range(10):
+        n = rng.randint(2, 80)
+        tree = SimplicialComplex.from_facets([(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
+        cases.append((tree, rng.randint(1, n)))
+    assert len(cases) == 18
+    for comp, bank in cases:
+        _, _, factor = flows._certificate(comp, bank)
+        edges = len(comp.faces(1)) - len(comp.neighbors()[bank])
+        assert sum(len(later) for _, _, later, _ in factor) == edges
+    _, _, factor = flows._certificate(cycle(32), 1)
+    assert sum(len(later) for _, _, later, _ in factor) == 30
 
 
 def test_chip_game_is_built_once_per_bank(monkeypatch):
