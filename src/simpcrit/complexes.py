@@ -21,9 +21,20 @@ from .intlinalg import AbelianGroup, IntMatrix, _sparse_invariant_factors, colum
 Face = tuple
 
 
+def _integers(values) -> tuple:
+    """The values as a tuple of ints.  A value x with int(x) != x, such as
+    0.5, raises ValueError, where int() alone would truncate it."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        x = next(x for x, n in zip(values, ints) if n != x)
+        raise ValueError(f"non-integral value {x!r}")
+    return ints
+
+
 def make_face(vertices) -> Face:
     """Canonical face from an iterable of vertex labels."""
-    vs = sorted(int(v) for v in vertices)
+    vs = sorted(_integers(vertices))
     for a, b in zip(vs, vs[1:]):
         if a == b:
             raise ValueError(f"duplicate vertex {a} in face {vs}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import mul
 
-from .complexes import SimplicialComplex, make_face
+from .complexes import SimplicialComplex, _integers, make_face
 from .critical import _theta_indices, laplacian, reduced_laplacian
 from .intlinalg import _apply_log, _solve, smith_normal_form
 from .trees import HypothesisError, as_spanning_tree, require_torsion_free
@@ -71,7 +71,7 @@ class GroupElement:
 
 
 def _check_config(comp, i, values):
-    values = tuple(int(x) for x in values)
+    values = _integers(values)
     if len(values) != len(comp.faces(i)):
         raise ValueError(
             f"configuration has length {len(values)}, expected {len(comp.faces(i))}"
@@ -109,7 +109,7 @@ def extend_to_conservative(comp: SimplicialComplex, i, tree, theta_values) -> tu
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
-    theta_values = [int(x) for x in theta_values]
+    theta_values = _integers(theta_values)
     if len(theta_values) != len(theta):
         raise ValueError(
             f"theta has length {len(theta_values)}, expected {len(theta)}"
@@ -184,7 +184,7 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
-    values = [int(x) for x in values]
+    values = _integers(values)
     if len(values) == len(comp.faces(i)):
         values = [values[j] for j in theta]
     elif len(values) != len(theta):
@@ -242,7 +242,7 @@ class ChipState:
 
     def __post_init__(self):
         non_bank, _, _, _ = _game(self.complex, self.bank)
-        chips = tuple(int(c) for c in self.chips)
+        chips = _integers(self.chips)
         if len(chips) != len(non_bank):
             raise ValueError(f"expected {len(non_bank)} chip counts, got {len(chips)}")
         if any(c < 0 for c in chips):
@@ -344,11 +344,6 @@ def _certificate(comp, bank):
     return comp._memoized(("chip_certificate", bank), lambda: _build_certificate(deg, adj))
 
 
-def _has_certificate(comp, bank):
-    """Whether ``_certificate`` is memoized for the game, so costs nothing."""
-    return ("chip_certificate", bank) in comp._memo
-
-
 def _odometer_lower_bound(deg, adj, certificate, chips):
     """A nonnegative integer vector below the odometer of ``chips``, or None
     if the step would not pay for its float solve or certifies nothing.
@@ -387,18 +382,16 @@ def stabilize(state: ChipState):
 
     A bulk step fires a certified lower bound v on the odometer still to
     come at once (``_odometer_lower_bound``) and rebuilds the list.  The
-    first check for one comes after n^2 worklist steps (n non-bank
-    vertices).  Once the certificate is memoized it comes after
-    sum(deg) <= n^2 steps instead: the check then costs O(n) until its
-    z . b test predicts at least n^2 firings, and only then runs a solve.
-    Later checks come at least n^2 steps apart, and a check that fires
-    nothing doubles the gap to the next.  A step solves for the top 60
-    bits of each pile, so while a pile is longer after it, the next step
-    comes at once.  A graph whose certificate fails its exact check never
-    takes a bulk step.  So a call that settles within sum(deg) steps runs
-    the worklist alone, and no certificate is built before n^2 worklist
-    steps.  On a long cycle (sum(deg) = 2n) the first bulk step comes n/2
-    times sooner; on a complete graph sum(deg) = n^2, and nothing changes.
+    first check for one comes after sum(deg) <= n^2 worklist steps (n
+    non-bank vertices), and later checks at least n^2 steps apart; a check
+    that fires nothing doubles the gap to the next.  The first check on a
+    game builds its certificate (``_certificate``); a check then costs
+    O(n) until its z . b test predicts at least n^2 firings, and only then
+    runs a solve.  A step solves for the top 60 bits of each pile, so
+    while a pile is longer after it, the next step comes at once.  A graph
+    whose certificate fails its exact check never takes a bulk step.  So a
+    call that settles within sum(deg) steps runs the worklist alone and
+    builds nothing.
 
     Why the output does not change.  Let u be the odometer of the start s
     (its firing counts) and f = s - L~ u the stable result, so
@@ -423,7 +416,7 @@ def stabilize(state: ChipState):
     chips = list(state.chips)
     counts = [0] * len(non_bank)
     n_squared = len(deg) ** 2
-    budget = sum(deg) if _has_certificate(state.complex, state.bank) else n_squared
+    budget = sum(deg)
     # a vertex is on the list iff it is ready, so it is never on it twice
     ready = [idx for idx, c in enumerate(chips) if c >= deg[idx]]
     while ready:

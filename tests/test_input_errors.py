@@ -18,7 +18,9 @@ from simpcrit import (
     extend_to_conservative,
     find_torsion_free_tree,
     fire,
+    is_conservative,
     laplacian,
+    make_face,
     reduced_laplacian,
     required_tree_size,
     simplex_skeleton,
@@ -68,6 +70,16 @@ ERRORS = [
      "theta has length 1, expected 5"),
     ("to_group_element", lambda: to_group_element(B, 1, TREE, [0]), ValueError,
      "expected a configuration of length 9 or 5"),
+    # a value that int() would truncate is refused, not rounded toward zero
+    ("configuration non-integral", lambda: is_conservative(B, 1, [0.5] + [0] * 8), ValueError,
+     "non-integral value 0.5"),
+    ("theta non-integral", lambda: extend_to_conservative(B, 1, TREE, [0, 0.5, 0, 0, 0]),
+     ValueError, "non-integral value 0.5"),
+    ("to_group_element non-integral", lambda: to_group_element(B, 1, TREE, [0.9] + [0] * 4),
+     ValueError, "non-integral value 0.9"),
+    ("ChipState non-integral", lambda: ChipState(cycle(4), 1, (2.5, 0, 0)), ValueError,
+     "non-integral value 2.5"),
+    ("make_face non-integral", lambda: make_face([1.5, 2]), ValueError, "non-integral value 1.5"),
     ("GroupElement +", lambda: GroupElement((2,), (1,)) + GroupElement((3,), (1,)), ValueError,
      "group elements live in different groups"),
     ("ChipState +", lambda: ChipState(C5, 5, (0,) * 4) + ChipState(C5, 4, (0,) * 4), ValueError,
@@ -96,3 +108,12 @@ def test_input_errors_raise_one_plain_error(call, exc_type, message):
     with pytest.raises(exc_type, match=f"^{re.escape(message)}$") as info:
         call()
     assert type(info.value) is exc_type
+
+
+def test_integral_values_of_any_type_are_taken_as_ints():
+    assert make_face([2.0, 1]) == (1, 2)
+    assert fire(C5, 0, (4.0, 0, 0, 0, 0), (1.0,)) == (2, 1, 0, 0, 1)
+    assert extend_to_conservative(B, 1, TREE, [1.0, 0, 0, 0, 0]) == \
+        extend_to_conservative(B, 1, TREE, [1, 0, 0, 0, 0])
+    chips = ChipState(cycle(4), 1, (2.0, 0, 0)).chips
+    assert chips == (2, 0, 0) and all(type(c) is int for c in chips)
