@@ -16,20 +16,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .intlinalg import AbelianGroup, IntMatrix, _sparse_invariant_factors, column_basis
+from .intlinalg import AbelianGroup, IntMatrix, _integers, _sparse_invariant_factors, column_basis
 
 Face = tuple
-
-
-def _integers(values) -> tuple:
-    """The values as a tuple of ints.  A value x with int(x) != x, such as
-    0.5, raises ValueError, where int() alone would truncate it."""
-    values = tuple(values)
-    ints = tuple(map(int, values))
-    if ints != values:
-        x = next(x for x, n in zip(values, ints) if n != x)
-        raise ValueError(f"non-integral value {x!r}")
-    return ints
 
 
 def make_face(vertices) -> Face:

@@ -59,7 +59,8 @@ from .trees import (
 
 def laplacian(comp: SimplicialComplex, i) -> IntMatrix:
     """The up-down Laplacian boundary_{i+1} times its transpose on i-chains,
-    an f_i x f_i symmetric matrix built once per complex.
+    an f_i x f_i symmetric matrix built once per complex, from the sparse
+    boundary columns (``_laplacian_rows``).
 
     It is zero when i is the top dimension.  Dimension -1 is allowed: its
     Laplacian is the 1 x 1 matrix [f_0] coming from the augmentation.
@@ -68,13 +69,25 @@ def laplacian(comp: SimplicialComplex, i) -> IntMatrix:
         raise ValueError(f"dimension {i} out of range [-1, {comp.dim}]")
 
     def build():
-        if i == comp.dim:
-            n = len(comp.faces(i))
-            return IntMatrix(n, n)
-        bd = comp.boundary_matrix(i + 1)
-        return bd * bd.transpose()
+        # L is symmetric, so its rows are its columns
+        n = len(comp.faces(i))
+        return IntMatrix.from_columns(n, [row.items() for row in _laplacian_rows(comp, i)])
 
     return comp._memoized(("laplacian", i), build)
+
+
+def _laplacian_rows(comp: SimplicialComplex, i) -> list:
+    """The rows of ``laplacian(comp, i)`` as fresh {col: nonzero value}
+    dicts: B B^T is the sum of the outer products of B's columns, so each
+    sparse column of B = boundary_{i+1} adds x * y at (r, s) for each
+    two of its (row, value) pairs.  All empty at the top dimension."""
+    rows = [{} for _ in comp.faces(i)]
+    for col in comp._boundary_columns(i + 1) if i < comp.dim else ():
+        for r, x in col:
+            row = rows[r]
+            for s, y in col:
+                row[s] = row.get(s, 0) + x * y
+    return [{s: x for s, x in row.items() if x} for row in rows]
 
 
 def _theta_indices(comp: SimplicialComplex, i, tree) -> list:

@@ -7,13 +7,16 @@ of Laplacian columns are equivalent, and the canonical coordinates of an
 equivalence class are residues modulo the invariant factors of the
 reduced Laplacian of a chosen torsion-free tree.
 
-Each cokernel map costs one Smith form, paid lazily on first use and
-memoized on the complex in one of two shapes: the rows of U that cut out
-the image (``_cokernel_rows``), once per dimension for ``equivalent`` and
-once per (dimension, tree) for ``to_group_element``; and the Smith form
-itself, which ``extend_to_conservative`` solves with, once per
-(dimension, tree).  No transform matrix is built: only the rows read are
-taken off the Smith form's operation log, and a solve passes over the
+Each map is prepared lazily on first use and memoized on the complex.
+``equivalent`` tests membership in the image of the Laplacian with rows
+of U read off the logged sparse eliminator of the invariant factors
+(``intlinalg._membership_rows``), run on the Laplacian's sparse rows,
+once per dimension.  ``to_group_element`` reads its rows of U off the
+log of a Smith form of the reduced Laplacian (``_cokernel_rows``), and
+``extend_to_conservative`` solves with a Smith form of the tree's
+boundary columns, each once per (dimension, tree): those residues depend
+on the Smith form's fixed pivot rule.  No transform matrix is built:
+only the rows read are taken off a log, and a solve passes over the
 logs.  A tree is checked once per complex too (``as_spanning_tree``), so
 every later query is a few dot products or log passes.  The chip game is
 likewise built once per (complex, bank).
@@ -37,9 +40,9 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import mul
 
-from .complexes import SimplicialComplex, _integers, make_face
-from .critical import _theta_indices, laplacian, reduced_laplacian
-from .intlinalg import _apply_log, _solve, smith_normal_form
+from .complexes import SimplicialComplex, make_face
+from .critical import _laplacian_rows, _theta_indices, laplacian, reduced_laplacian
+from .intlinalg import _integers, _membership_rows, _solve, _sparse_log_row, smith_normal_form
 from .trees import HypothesisError, as_spanning_tree, require_torsion_free
 
 
@@ -132,26 +135,22 @@ def extend_to_conservative(comp: SimplicialComplex, i, tree, theta_values) -> tu
 
 
 def _dot(row, values):
-    return sum(a * x for a, x in zip(row, values) if a)
+    """u . values for a row u given as its (index, nonzero entry) pairs."""
+    return sum(x * values[k] for k, x in row)
 
 
 def _cokernel_rows(comp, key, matrix):
-    """(d, (j, row j of U mod d_j, d_j) for each d_j > 1, the exact rows of U
-    beyond the rank) of the Smith form U * A * V = diag(d) of A = matrix(),
-    memoized on the complex under ``key``.  w lies in the image of A iff
-    (U w)_j is divisible by d_j below the rank and zero beyond it.  One
-    Smith form, then only these rows, read off its row log (``_apply_log``);
-    U itself is never built."""
+    """(d, (j, row j of U mod d_j, d_j) for each d_j > 1) of the Smith form
+    U * A * V = diag(d) of A = matrix(), memoized on the complex under
+    ``key``: ``to_group_element``'s moduli and coordinate rows.  The
+    Smith form's min-|value| pivot rule fixes U, and so the residues.  One
+    Smith form, then only these rows, read off its row log
+    (``intlinalg._sparse_log_row``); U itself is never built."""
 
     def build():
         s = smith_normal_form(matrix())
         m = s.shape[0]
-
-        def row(j, mod=0):
-            return _apply_log(s.row_log, [int(k == j) for k in range(m)], back=True, mod=mod)
-
-        torsion = tuple((j, tuple(x % d for x in row(j, d)), d) for j, d in enumerate(s.d) if d > 1)
-        return s.d, torsion, [row(j) for j in range(s.rank, m)]
+        return s.d, [(j, _sparse_log_row(s.row_log, m, j, d), d) for j, d in enumerate(s.d) if d > 1]
 
     return comp._memoized(key, build)
 
@@ -160,14 +159,22 @@ def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
     """True iff the difference lies in the integer column span of the
     up-down Laplacian (i.e. some sequence of firings links the two).
 
-    The Smith form of the Laplacian is computed once per (complex, i).
+    The test is built once per (complex, i): the rows of U that decide
+    membership, from the logged sparse eliminator on the Laplacian's
+    sparse rows (``intlinalg._membership_rows``); no Smith form and no
+    dense Laplacian.  Every answer is a bool, so U need not be canonical.
+    At the top dimension the Laplacian is zero.
     """
     a = _check_config(comp, i, values_a)
     b = _check_config(comp, i, values_b)
+    if i == comp.dim:
+        return a == b
     diff = [x - y for x, y in zip(a, b)]
-    _, torsion, free = _cokernel_rows(comp, ("laplacian_image", i), lambda: laplacian(comp, i))
-    return all(_dot(row, diff) % d == 0 for _, row, d in torsion) and not any(
-        _dot(row, diff) for row in free
+    torsion, zero = comp._memoized(
+        ("laplacian_image", i), lambda: _membership_rows(_laplacian_rows(comp, i))
+    )
+    return all(_dot(row, diff) % d == 0 for row, d in torsion) and not any(
+        _dot(row, diff) for row in zero
     )
 
 
@@ -192,8 +199,8 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
             f"expected a configuration of length {len(comp.faces(i))} or {len(theta)}"
         )
     key = ("group_coordinates", i, tree.top_faces)
-    moduli, rows, free = _cokernel_rows(comp, key, lambda: reduced_laplacian(comp, i, tree))
-    if free:
+    moduli, rows = _cokernel_rows(comp, key, lambda: reduced_laplacian(comp, i, tree))
+    if len(moduli) < len(theta):  # the reduced Laplacian is singular
         raise HypothesisError("critical group has a free part; residues are not canonical")
     residues = [0] * len(moduli)
     for j, row, d in rows:

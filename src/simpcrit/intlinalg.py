@@ -39,6 +39,8 @@ keeps the lanes from carrying.  A gcd/lcm pass turns the diagonal into
 the invariant factors.  Invariant factors are
 unique (each d_1 ... d_k is the gcd of the k x k minors, which no
 unimodular step changes), so this path is free to pick its own pivots.
+With a log of its row operations it also decides membership in a column
+lattice (``_membership_rows``), where no U need be canonical.
 The Smith form with transforms is not: its U and V, and so the group
 coordinates the flows module reads from U, are canonical only for its
 fixed min-|value| pivot rule, which it keeps.  When it takes the pivot
@@ -58,6 +60,17 @@ from heapq import heapify, heappop, heappush
 from math import gcd, prod
 
 
+def _integers(values) -> tuple:
+    """The values as a tuple of ints.  A value x with int(x) != x, such as
+    0.5, raises ValueError, where int() alone would truncate it."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        x = next(x for x, n in zip(values, ints) if n != x)
+        raise ValueError(f"non-integral value {x!r}")
+    return ints
+
+
 class IntMatrix:
     """A dense rows x cols matrix of Python ints.
 
@@ -67,7 +80,8 @@ class IntMatrix:
     another matrix or with 0 (the zero test).  Instances are treated as
     immutable by the rest of the library: every operation returns a new
     matrix, and matrices handed out by caching layers must not be
-    mutated.
+    mutated.  Entries are taken as ints; a non-integral one, such as 1.5,
+    raises ValueError.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -80,14 +94,14 @@ class IntMatrix:
         if data is None:
             self.data = [[0] * cols for _ in range(rows)]
         else:
-            data = [[int(x) for x in row] for row in data]
+            data = [list(_integers(row)) for row in data]
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("data does not match the declared shape")
             self.data = data
 
     @classmethod
     def diagonal(cls, entries):
-        entries = [int(x) for x in entries]
+        entries = _integers(entries)
         m = cls(len(entries), len(entries))
         for i, e in enumerate(entries):
             m.data[i][i] = e
@@ -275,6 +289,14 @@ def _log_rows(log, size):
                                   for j in range(size)])
 
 
+def _sparse_log_row(log, size, j, mod=0):
+    """Row j of E_k...E_1 for the logged operations E_1..E_k, as its
+    (index, nonzero entry) pairs: e_j passed backward through the log,
+    mod ``mod``."""
+    u = _apply_log(log, [int(k == j) for k in range(size)], back=True, mod=mod)
+    return [(k, x) for k, x in enumerate(u) if x]
+
+
 def _inverse_log(log):
     """The log of (E_k...E_1)^-1 = E_1^-1...E_k^-1: reversed, each add
     negated; a swap and a negation are their own inverses."""
@@ -372,7 +394,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                      row_log=tuple(row_log), col_log=tuple(col_log))
 
 
-def _eliminate_unit_pivots(sparse_rows):
+def _eliminate_unit_pivots(sparse_rows, log=None):
     """Sparse Schur elimination of +-1 pivots.
 
     A unit pivot p at (r, c) leaves the cokernel unchanged when row r and
@@ -387,10 +409,16 @@ def _eliminate_unit_pivots(sparse_rows):
     is dropped until an update pushes it again.  So when the heap is empty
     no entry is +-1.  Zero rows and columns drop out.  Returns the pivot
     count and what is left as ``_PackedRows``, packed from the surviving
-    dicts with no dense copy.  The matrix comes as its rows, {col:
-    nonzero value} dicts, which the elimination changes.
+    dicts with no dense copy, each row named by its index.  The matrix
+    comes as its rows, {col: nonzero value} dicts, which the elimination
+    changes.
+
+    With a ``log``, each Schur update is appended to it as a row operation
+    in ``_apply_log``'s format, and the zero rows, empty from the start or
+    emptied by an update, are kept and packed too.
     """
-    rows = {r: row for r, row in enumerate(sparse_rows) if row}  # ascending row order
+    # ascending row order
+    rows = {r: row for r, row in enumerate(sparse_rows) if row or log is not None}
     cols = {}  # col -> set of rows with a nonzero there
     for r, row in rows.items():
         for c in row:
@@ -414,6 +442,8 @@ def _eliminate_unit_pivots(sparse_rows):
         for s in pcol:
             srow = rows[s]
             f = srow.pop(pc) * p
+            if log is not None:
+                log.append((s, pr, -f))
             for cc, x in prow.items():
                 old = srow.get(cc)
                 if old is None:
@@ -428,7 +458,7 @@ def _eliminate_unit_pivots(sparse_rows):
                     cols[cc].discard(s)
             if srow:
                 heappush(heap, (len(srow), s))
-            else:
+            elif log is None:
                 del rows[s]
         for cc in prow:
             col = cols[cc]
@@ -436,7 +466,7 @@ def _eliminate_unit_pivots(sparse_rows):
             if not col:
                 del cols[cc]
         units += 1
-    return units, _PackedRows(rows.values())
+    return units, _PackedRows(rows.values(), rows)
 
 
 class _PackedRows:
@@ -463,10 +493,12 @@ class _PackedRows:
     past the guard for a step's quotient and 32 bits more, so that a row
     takes many steps between guard tests.  ``prove`` lowers a bound to
     the guard with one add and one AND; ``widen`` repacks every row in
-    wider lanes.
+    wider lanes.  ``ids`` names each row by the source row it came from
+    (its place among ``rows`` unless given), and ``taken`` lists the ids
+    of the rows ``_diagonalize`` took as pivots, in the diagonal's order.
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, ids=None):
         count = Counter(c for row in rows for c in row)
         lane = {c: j for j, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
         self.n = len(lane)
@@ -477,6 +509,8 @@ class _PackedRows:
             v, b = self.pack((lane[c], x) for c, x in row.items())
             self.ints.append(v)
             self.bits.append(b)
+        self.ids = list(range(len(self.ints)) if ids is None else ids)
+        self.taken = []
 
     def _layout(self, top, qbits):
         """Lanes for entries of ``top`` bits, wide enough for a step by a
@@ -556,10 +590,12 @@ class _PackedRows:
         self.mask >>= w
 
 
-def _diagonalize(rows):
+def _diagonalize(rows, log=None):
     """The diagonal, in no divisibility order, of a diagonal matrix
     equivalent to the ``_PackedRows`` rows, which are used up; zeros are
-    left out.
+    left out.  With a ``log``, each row step and each negation of a pivot
+    row is appended to it in ``_apply_log``'s format, under the rows' ids;
+    the column steps are not logged.
 
     Columns are taken in lane order, sparsest first (``_PackedRows``).
     The pivot is the smallest nonzero |entry| of column 0, read off each
@@ -579,7 +615,7 @@ def _diagonalize(rows):
     row is repacked in lanes wide enough for it (``_PackedRows.widen``),
     so no lane ever carries and every step is taken at once.
     """
-    ints, bits = rows.ints, rows.bits
+    ints, bits, ids = rows.ints, rows.bits, rows.ids
     diag = []
     while ints and rows.n:
         half = 1 << (rows.width - 1)
@@ -595,6 +631,8 @@ def _diagonalize(rows):
                 if a < 0:
                     ints[pi] = -ints[pi]
                     a = lead[pi] = -a
+                    if log is not None:
+                        log.append((ids[pi], None, -1))
                 p, bp, h = ints[pi], bits[pi], a >> 1
                 best = 0
                 for i, c in enumerate(lead):
@@ -614,6 +652,8 @@ def _diagonalize(rows):
                                     b = max(bits[i], qb + bp) + 1
                             ints[i] -= q * p
                             bits[i] = b
+                            if log is not None:
+                                log.append((ids[i], ids[pi], -q))
                             lead[i] = c = c - q * a
                         if c and (not best or abs(c) < best):
                             best, bi = abs(c), i
@@ -631,6 +671,7 @@ def _diagonalize(rows):
             lead = rows.swap(pi, row, j)
             best, pi = _least(lead)
         diag.append(a)
+        rows.taken.append(ids.pop(pi))
         del ints[pi], bits[pi]
         rows.drop_column()
     return diag
@@ -677,6 +718,29 @@ def _sparse_invariant_factors(sparse_rows) -> tuple:
     """
     units, rest = _eliminate_unit_pivots(sparse_rows)
     return (1,) * units + _normalize_diagonal(_diagonalize(rest))
+
+
+def _membership_rows(sparse_rows):
+    """(torsion, zero): w lies in the integer column span of the matrix A
+    whose rows are the {col: nonzero value} dicts ``sparse_rows``, which
+    are used up, iff u . w is divisible by a for each (u, a) in
+    ``torsion`` and is 0 for each u in ``zero``; each u is a row of U, as
+    its (index, nonzero entry) pairs.
+
+    U logs the row operations of ``_sparse_invariant_factors``'
+    eliminator; its column operations leave the span alone, and U A V is
+    diagonal up to order.  So the rows of U that decide are those of the
+    pivots a_j > 1, mod a_j and in ``_diagonalize``'s order (no divisor
+    chain is needed), and those of the rows that end up zero: empty from
+    the start, emptied by a Schur update or left over when the columns
+    run out.  Each is a backward pass over the log (``_apply_log``).
+    """
+    m = len(sparse_rows)
+    log = []
+    _, rest = _eliminate_unit_pivots(sparse_rows, log)
+    diag = _diagonalize(rest, log)
+    torsion = [(_sparse_log_row(log, m, j, a), a) for j, a in zip(rest.taken, diag) if a > 1]
+    return torsion, [_sparse_log_row(log, m, j) for j in rest.ids]
 
 
 def eliminate(v, b, p):
@@ -838,7 +902,7 @@ def lattice_membership(a: IntMatrix, v):
     and column: the rows above the pivot are finished, zero in every
     later column.
     """
-    v = [int(x) for x in v]
+    v = list(_integers(v))
     if len(v) != a.rows:
         raise ValueError("vector length does not match row count")
     return _solve(smith_normal_form(a), v)

@@ -243,6 +243,19 @@ def block_route_cases():
     return [(comp, i) for comp in comps for i in range(comp.dim)]
 
 
+def test_laplacian_is_the_product_of_the_boundary_and_its_transpose():
+    # summed from the sparse boundary columns: d_{i+1} d_{i+1}^T at every
+    # i below the top, [f_0] at -1 and zero at the top
+    comps = list(dict.fromkeys(comp for comp, _ in block_route_cases()))
+    comps += [linial_meshulam(*spec) for spec in ((12, 0.5, 1), (18, 0.4, 1), (25, 0.15, 1))]
+    for comp in comps:
+        for i in range(-1, comp.dim):
+            bd = comp.boundary_matrix(i + 1)
+            assert laplacian(comp, i) == bd * bd.transpose(), (comp, i)
+        n = len(comp.faces(comp.dim))
+        assert laplacian(comp, comp.dim) == IntMatrix(n, n)
+
+
 def test_both_routes_match_the_dense_laplacian_formulas():
     # the oracles form the Laplacians: coker L_i minus rank d_i for the
     # direct route, and coker of the reduced L_i of a torsion-free tree

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 from test_acceptance import RP2_FACETS, linial_meshulam
 from test_critical import LM_PDET
+from test_trees import lm_moore
 
 from simpcrit import flows, intlinalg
 from simpcrit.complexes import SimplicialComplex
@@ -934,11 +935,12 @@ def test_smith_forms_build_only_the_transforms_read(smith_forms):
     x = [rng.randint(-3, 3) for _ in comp.faces(1)]
     assert equivalent(comp, 1, x, fire(comp, 1, x, comp.faces(1)[0]))
     to_group_element(comp, 1, tree, x)
-    # group coordinates and the image test read rows of U off the row log
+    # group coordinates read rows of U off the row log; the image test
+    # takes no Smith form
     extend_to_conservative(comp, 1, tree, x[:len(theta)])
     # and solving passes over both logs, so no transform matrix is built
-    assert len(smith_forms) == 3
-    assert [built_transforms(s) for s in smith_forms] == [[], [], []]
+    assert len(smith_forms) == 2
+    assert [built_transforms(s) for s in smith_forms] == [[], []]
 
 
 def test_one_smith_form_per_memo_key(snf_calls):
@@ -957,8 +959,9 @@ def test_one_smith_form_per_memo_key(snf_calls):
                 comp, 1, tree, [x[j] for j in theta])
         else:
             assert is_conservative(comp, 1, extend_to_conservative(comp, 1, tree, x[:m]))
-    # the Laplacian, the reduced Laplacian and the tree's boundary columns
-    assert sorted(snf_calls) == sorted([(n, n), (m, m), (len(comp.faces(0)), len(tree.top_faces))])
+    # the reduced Laplacian and the tree's boundary columns; the image test
+    # of equivalent() takes no Smith form
+    assert sorted(snf_calls) == sorted([(m, m), (len(comp.faces(0)), len(tree.top_faces))])
 
 
 def test_each_tree_gets_its_own_prepared_map(snf_calls):
@@ -971,8 +974,58 @@ def test_each_tree_gets_its_own_prepared_map(snf_calls):
     for c1, c2 in combinations(confs, 2):
         same = [to_group_element(b, 1, t, c1) == to_group_element(b, 1, t, c2) for t in trees]
         assert same == [equivalent(b, 1, c1, c2)] * 2
-    # one extension and two coordinate maps, one Laplacian
-    assert sorted(snf_calls) == [(5, 4), (5, 5), (5, 5), (9, 9)]
+    # one extension and two coordinate maps; the image test takes none
+    assert sorted(snf_calls) == [(5, 4), (5, 5), (5, 5)]
+
+
+def equivalent_fixtures():
+    """Complexes whose Laplacians have torsion, free parts, zero rows and
+    empty rows for the image test of equivalent()."""
+    return [
+        bipyramid(), sphere(2), SimplicialComplex.from_facets(RP2_FACETS), moore(3), moore(5),
+        lm_moore(2, 6, 0.4, 1), lm_moore(3, 5, 0.4, 3),
+        # the hollow triangle 345 leaves a free Z in K_1
+        SimplicialComplex.from_facets([(1, 2, 3), (3, 4), (3, 5), (4, 5)]),
+        # two components and an isolated vertex, an empty row of L_0
+        SimplicialComplex.from_facets([(1, 2, 3), (4, 5), (5, 6), (4, 6), (7,)]),
+        linial_meshulam(12, 0.5, 1),
+    ]
+
+
+def test_equivalent_matches_lattice_membership_in_every_dimension():
+    rng = random.Random(76)
+    for comp in equivalent_fixtures():
+        for i in range(-1, comp.dim + 1):
+            lap = laplacian(comp, i)
+            n = lap.rows
+            for _ in range(4):
+                a = [rng.randint(-3, 3) for _ in range(n)]
+                linked = [x - y for x, y in zip(a, lap.apply([rng.randint(-2, 2) for _ in range(n)]))]
+                k = rng.randrange(n)
+                shifted = [x + (j == k) for j, x in enumerate(linked)]
+                for b in (linked, shifted, [rng.randint(-3, 3) for _ in range(n)]):
+                    want = lattice_membership(lap, [x - y for x, y in zip(a, b)]) is not None
+                    assert equivalent(comp, i, a, b) is want, (comp, i)
+                    assert equivalent(comp, i, b, a) is want, (comp, i)
+                assert equivalent(comp, i, a, linked)
+
+
+def test_equivalent_builds_its_image_test_once_with_no_smith_form(snf_calls, monkeypatch):
+    comp = linial_meshulam(12, 0.5, 1)
+    built = []
+
+    def spy(name, real):
+        monkeypatch.setattr(flows, name, lambda *args: built.append(name) or real(*args))
+
+    spy("_laplacian_rows", flows._laplacian_rows)
+    spy("_membership_rows", flows._membership_rows)
+    spy("laplacian", flows.laplacian)
+    x = [k % 5 - 2 for k in range(len(comp.faces(1)))]
+    y = [v + (k == 0) for k, v in enumerate(x)]
+    assert equivalent(comp, 1, x, x)
+    assert built == ["_laplacian_rows", "_membership_rows"] and snf_calls == []
+    assert not equivalent(comp, 1, x, y)
+    assert built == ["_laplacian_rows", "_membership_rows"] and snf_calls == []
 
 
 def test_free_part_raises_on_every_call(snf_calls):

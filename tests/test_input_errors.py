@@ -29,7 +29,7 @@ from simpcrit import (
     verify_smtt,
 )
 from simpcrit.generators import from_spec
-from simpcrit.intlinalg import char_poly
+from simpcrit.intlinalg import char_poly, lattice_membership
 
 B = bipyramid()  # f = (1, 5, 9, 7), dimension 2
 TREE = [(1, 2), (1, 3), (1, 4), (1, 5)]  # a torsion-free 1-tree; 5 edges outside it
@@ -80,6 +80,13 @@ ERRORS = [
     ("ChipState non-integral", lambda: ChipState(cycle(4), 1, (2.5, 0, 0)), ValueError,
      "non-integral value 2.5"),
     ("make_face non-integral", lambda: make_face([1.5, 2]), ValueError, "non-integral value 1.5"),
+    ("IntMatrix non-integral", lambda: IntMatrix(2, 2, [[1.5, 0], [0, 2.9]]), ValueError,
+     "non-integral value 1.5"),
+    ("IntMatrix.diagonal non-integral", lambda: IntMatrix.diagonal([2, 0.5]), ValueError,
+     "non-integral value 0.5"),
+    ("lattice_membership non-integral",
+     lambda: lattice_membership(IntMatrix.diagonal([2]), [2.5]), ValueError,
+     "non-integral value 2.5"),
     ("GroupElement +", lambda: GroupElement((2,), (1,)) + GroupElement((3,), (1,)), ValueError,
      "group elements live in different groups"),
     ("ChipState +", lambda: ChipState(C5, 5, (0,) * 4) + ChipState(C5, 4, (0,) * 4), ValueError,
@@ -117,3 +124,7 @@ def test_integral_values_of_any_type_are_taken_as_ints():
         extend_to_conservative(B, 1, TREE, [1, 0, 0, 0, 0])
     chips = ChipState(cycle(4), 1, (2.0, 0, 0)).chips
     assert chips == (2, 0, 0) and all(type(c) is int for c in chips)
+    m = IntMatrix(2, 2, [[2.0, 0], [0, 3]])
+    assert m.data == [[2, 0], [0, 3]] and all(type(x) is int for row in m.data for x in row)
+    assert IntMatrix.diagonal([2.0]).data == [[2]]
+    assert lattice_membership(IntMatrix.diagonal([2]), [4.0]) == [2]

@@ -726,6 +726,34 @@ def test_lattice_membership_against_brute_force():
             assert a.apply(x) == v
 
 
+def test_membership_rows_decide_the_column_lattice():
+    # the rows of U off the logged sparse eliminator against the Smith
+    # form's solve, on seeded matrices with torsion, zero rows and zero
+    # columns; w runs over image vectors, image vectors moved along one
+    # axis, and random vectors
+    rng = random.Random(31)
+    with_torsion = with_zero = 0
+    for trial in range(150):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        values = ((-1, 1), (-3, -1, 1, 1, 2, 5), (-2, 2, 3, 4, 6))[trial % 3]
+        a = sparse_matrix(rng, m, n, rng.uniform(0.05, 0.8), values)
+        torsion, zero = intlinalg._membership_rows(sparse_rows(a))
+        with_torsion += bool(torsion)
+        with_zero += bool(zero)
+        assert all(t > 1 for _, t in torsion)
+        for _ in range(4):
+            v = a.apply([rng.randint(-3, 3) for _ in range(n)])
+            k, step = rng.randrange(m), rng.choice((1, 2, 3, 6))
+            moved = [x + step * (j == k) for j, x in enumerate(v)]
+            for w in (v, moved, [rng.randint(-3, 3) for _ in range(m)]):
+                def dot(u):
+                    return sum(x * w[k] for k, x in u)
+
+                member = all(dot(u) % t == 0 for u, t in torsion) and not any(map(dot, zero))
+                assert member is (lattice_membership(a, w) is not None), (a, w)
+    assert (with_torsion, with_zero) == (67, 89)
+
+
 # ---- rank --------------------------------------------------------------------
 
 def test_rank_against_fraction_oracle():
