@@ -16,9 +16,10 @@ the exit code from the result alone: ``"verdict": "FAIL"`` exits 5,
 
 Exit codes: 0 success / verification PASS; 2 input error; 3 hypothesis
 violation (any ``HypothesisError``: e.g. a spanning tree with torsion,
-``flow canonical`` on an infinite K_i, or ``verify sphere`` on a
-non-pseudomanifold); 4 enumeration budget exceeded (partial results);
-5 verification FAIL.
+``flow canonical`` on an infinite K_i, ``verify sphere`` on a
+non-pseudomanifold, or ``verify smtt`` and ``verify alt-product`` on a
+skeleton that is not acyclic in positive codimension); 4 enumeration
+budget exceeded (partial results); 5 verification FAIL.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .critical import (
     alternating_order,
     critical_group_direct,
     critical_group_reduced,
+    require_apc,
     verify_simplex_structure,
     verify_smtt,
 )
@@ -358,6 +360,7 @@ def _cmd_verify_simplex(args, comp, warnings):
 
 
 def _cmd_verify_alt_product(args, comp, warnings):
+    require_apc(comp, args.dim)
     value = alternating_order(comp, args.dim)
     group = critical_group_direct(comp, args.dim)
     ok = value.denominator == 1 and group.betti == 0 and value == group.order

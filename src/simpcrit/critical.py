@@ -410,6 +410,16 @@ class SmttReport:
         return self.eigenvalue_identity_ok and self.determinant_identity_ok
 
 
+def require_apc(comp: SimplicialComplex, i):
+    """NotAcyclicError unless the i-skeleton is acyclic in positive
+    codimension, which the matrix-tree identities assume."""
+    if not comp.is_apc(i):
+        raise NotAcyclicError(
+            f"the {i}-skeleton is not acyclic in positive codimension: "
+            "the matrix-tree identities do not apply"
+        )
+
+
 def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttReport:
     """Check pi_i = tau_i * tau_{i-1} / |H_{i-2}|^2 and the determinant
     form of tau_i, all in exact integer arithmetic (cross-multiplied).
@@ -426,11 +436,7 @@ def verify_smtt(comp: SimplicialComplex, i, *, budget=DEFAULT_BUDGET) -> SmttRep
     """
     if not 1 <= i <= comp.dim:
         raise ValueError(f"dimension {i} out of range [1, {comp.dim}]")
-    if not comp.is_apc(i):
-        raise NotAcyclicError(
-            f"the {i}-skeleton is not acyclic in positive codimension: "
-            "the matrix-tree identities do not apply"
-        )
+    require_apc(comp, i)
     first = {}  # torsion-free or not -> the first such leaf
 
     def keep(t):

@@ -8,18 +8,17 @@ equivalence class are residues modulo the invariant factors of the
 reduced Laplacian of a chosen torsion-free tree.
 
 Each map is prepared lazily on first use and memoized on the complex.
-``equivalent`` tests membership in the image of the Laplacian with rows
-of U read off the logged sparse eliminator of the invariant factors
-(``intlinalg._membership_rows``), run on the Laplacian's sparse rows,
-once per dimension.  ``to_group_element`` reads its rows of U off the
-log of a Smith form of the reduced Laplacian (``_cokernel_rows``), and
-``extend_to_conservative`` solves with a Smith form of the tree's
-boundary columns, each once per (dimension, tree): those residues depend
-on the Smith form's fixed pivot rule.  No transform matrix is built:
-only the rows read are taken off a log, and a solve passes over the
-logs.  A tree is checked once per complex too (``as_spanning_tree``), so
-every later query is a few dot products or log passes.  The chip game is
-likewise built once per (complex, bank).
+Both flow maps dot a configuration with rows of U that intlinalg picks:
+``equivalent`` those of the logged sparse eliminator on the Laplacian's
+sparse rows (``intlinalg._membership_rows``), once per dimension, and
+``to_group_element`` those of a Smith form of the reduced Laplacian
+(``intlinalg._coordinate_rows``).  ``extend_to_conservative`` solves
+with a Smith form of the tree's boundary columns.  Each Smith form is
+taken once per (dimension, tree), and its fixed pivot rule fixes the
+residues; no transform matrix is built.  A tree is checked once per
+complex too (``as_spanning_tree``), so every later query is a few dot
+products or log passes.  The chip game is likewise built once per
+(complex, bank).
 
 In dimension > 0 no canonical notion of stability is known, so firing
 there is exposed as pure linear algebra only; the stable / recurrent /
@@ -42,7 +41,7 @@ from operator import mul
 
 from .complexes import SimplicialComplex, make_face
 from .critical import _laplacian_rows, _theta_indices, laplacian, reduced_laplacian
-from .intlinalg import _integers, _membership_rows, _solve, _sparse_log_row, smith_normal_form
+from .intlinalg import _coordinate_rows, _integers, _membership_rows, _solve, smith_normal_form
 from .trees import HypothesisError, as_spanning_tree, require_torsion_free
 
 
@@ -139,22 +138,6 @@ def _dot(row, values):
     return sum(x * values[k] for k, x in row)
 
 
-def _cokernel_rows(comp, key, matrix):
-    """(d, (j, row j of U mod d_j, d_j) for each d_j > 1) of the Smith form
-    U * A * V = diag(d) of A = matrix(), memoized on the complex under
-    ``key``: ``to_group_element``'s moduli and coordinate rows.  The
-    Smith form's min-|value| pivot rule fixes U, and so the residues.  One
-    Smith form, then only these rows, read off its row log
-    (``intlinalg._sparse_log_row``); U itself is never built."""
-
-    def build():
-        s = smith_normal_form(matrix())
-        m = s.shape[0]
-        return s.d, [(j, _sparse_log_row(s.row_log, m, j, d), d) for j, d in enumerate(s.d) if d > 1]
-
-    return comp._memoized(key, build)
-
-
 def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
     """True iff the difference lies in the integer column span of the
     up-down Laplacian (i.e. some sequence of firings links the two).
@@ -173,7 +156,7 @@ def equivalent(comp: SimplicialComplex, i, values_a, values_b) -> bool:
     torsion, zero = comp._memoized(
         ("laplacian_image", i), lambda: _membership_rows(_laplacian_rows(comp, i))
     )
-    return all(_dot(row, diff) % d == 0 for row, d in torsion) and not any(
+    return all(_dot(row, diff) % d == 0 for _, row, d in torsion) and not any(
         _dot(row, diff) for row in zero
     )
 
@@ -185,9 +168,10 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
     the faces outside the tree (which determines the class).  Firing any
     face never changes the result; two conservative configurations map
     to the same element iff they are equivalent.  The tree is checked,
-    and the Smith form of its reduced Laplacian computed, once per
-    (complex, i, tree); a residue is then one dot product modulo its
-    factor.  A free part in K_i raises HypothesisError, a ValueError.
+    and the moduli and coordinate rows of its reduced Laplacian taken
+    (``_coordinate_rows``), once per (complex, i, tree); a residue is then
+    one dot product modulo its factor.  A free part in K_i raises
+    HypothesisError, a ValueError.
     """
     tree = require_torsion_free(as_spanning_tree(comp, i, tree))
     theta = _theta_indices(comp, i, tree)
@@ -198,8 +182,8 @@ def to_group_element(comp: SimplicialComplex, i, tree, values) -> GroupElement:
         raise ValueError(
             f"expected a configuration of length {len(comp.faces(i))} or {len(theta)}"
         )
-    key = ("group_coordinates", i, tree.top_faces)
-    moduli, rows = _cokernel_rows(comp, key, lambda: reduced_laplacian(comp, i, tree))
+    moduli, rows = comp._memoized(("group_coordinates", i, tree.top_faces),
+                                  lambda: _coordinate_rows(reduced_laplacian(comp, i, tree)))
     if len(moduli) < len(theta):  # the reduced Laplacian is singular
         raise HypothesisError("critical group has a free part; residues are not canonical")
     residues = [0] * len(moduli)

@@ -42,13 +42,14 @@ unimodular step changes), so this path is free to pick its own pivots.
 With a log of its row operations it also decides membership in a column
 lattice (``_membership_rows``), where no U need be canonical.
 The Smith form with transforms is not: its U and V, and so the group
-coordinates the flows module reads from U, are canonical only for its
-fixed min-|value| pivot rule, which it keeps.  When it takes the pivot
-at (t, t), the rows above t are finished and zero in every column >= t,
-so its clearing steps touch only the nonzeros of row and column t.  A
-row of U, U * v and V * y are each one pass over a log
-(``_apply_log``); U, V and their inverses are built, row by row through
-the same pass, only when read.
+coordinates read from U (``_coordinate_rows``), are canonical only for
+its fixed min-|value| pivot rule, which it keeps.  Both take their rows
+of U from ``_torsion_rows``.  When it takes the pivot at (t, t), the
+rows above t are finished and zero in every column >= t, so its
+clearing steps touch only the nonzeros of row and column t.  A row of
+U, U * v and V * y are each one pass over a log (``_apply_log``); U, V
+and their inverses are built, row by row through the same pass, only
+when read.
 """
 
 from __future__ import annotations
@@ -407,25 +408,22 @@ def _eliminate_unit_pivots(sparse_rows, log=None):
     gone or its length has changed) and pivots on its +-1 in the column
     with the fewest nonzeros, ties to the lowest column; a row with no +-1
     is dropped until an update pushes it again.  So when the heap is empty
-    no entry is +-1.  Zero rows and columns drop out.  Returns the pivot
-    count and what is left as ``_PackedRows``, packed from the surviving
-    dicts with no dense copy, each row named by its index.  The matrix
-    comes as its rows, {col: nonzero value} dicts, which the elimination
-    changes.
-
-    With a ``log``, each Schur update is appended to it as a row operation
-    in ``_apply_log``'s format, and the zero rows, empty from the start or
-    emptied by an update, are kept and packed too.
+    no entry is +-1.  Zero rows and columns drop out.  Returns what is left
+    as ``_PackedRows``, packed from the surviving dicts with no dense copy,
+    each row named by its index, whose ``taken`` lists the pivot rows.  The
+    matrix comes as its rows, {col: nonzero value} dicts, which the
+    elimination changes.  With a ``log``, each Schur update is appended to
+    it as a row operation in ``_apply_log``'s format.
     """
     # ascending row order
-    rows = {r: row for r, row in enumerate(sparse_rows) if row or log is not None}
+    rows = {r: row for r, row in enumerate(sparse_rows) if row}
     cols = {}  # col -> set of rows with a nonzero there
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
     heap = [(len(row), r) for r, row in rows.items()]
     heapify(heap)
-    units = 0
+    taken = []
     while heap:
         length, pr = heappop(heap)
         prow = rows.get(pr)
@@ -458,15 +456,15 @@ def _eliminate_unit_pivots(sparse_rows, log=None):
                     cols[cc].discard(s)
             if srow:
                 heappush(heap, (len(srow), s))
-            elif log is None:
+            else:
                 del rows[s]
         for cc in prow:
             col = cols[cc]
             col.discard(pr)
             if not col:
                 del cols[cc]
-        units += 1
-    return units, _PackedRows(rows.values(), rows)
+        taken.append(pr)
+    return _PackedRows(rows.values(), rows, taken)
 
 
 class _PackedRows:
@@ -495,10 +493,10 @@ class _PackedRows:
     the guard with one add and one AND; ``widen`` repacks every row in
     wider lanes.  ``ids`` names each row by the source row it came from
     (its place among ``rows`` unless given), and ``taken`` lists the ids
-    of the rows ``_diagonalize`` took as pivots, in the diagonal's order.
+    of the rows pivoted on: those given, then ``_diagonalize``'s in order.
     """
 
-    def __init__(self, rows, ids=None):
+    def __init__(self, rows, ids=None, taken=None):
         count = Counter(c for row in rows for c in row)
         lane = {c: j for j, c in enumerate(sorted(count, key=lambda c: (count[c], c)))}
         self.n = len(lane)
@@ -510,7 +508,7 @@ class _PackedRows:
             self.ints.append(v)
             self.bits.append(b)
         self.ids = list(range(len(self.ints)) if ids is None else ids)
-        self.taken = []
+        self.taken = [] if taken is None else taken
 
     def _layout(self, top, qbits):
         """Lanes for entries of ``top`` bits, wide enough for a step by a
@@ -716,14 +714,20 @@ def _sparse_invariant_factors(sparse_rows) -> tuple:
     ``_diagonalize`` then runs on the dense remainder only, and
     ``_normalize_diagonal`` turns its diagonal into a divisor chain.
     """
-    units, rest = _eliminate_unit_pivots(sparse_rows)
-    return (1,) * units + _normalize_diagonal(_diagonalize(rest))
+    rest = _eliminate_unit_pivots(sparse_rows)
+    return (1,) * len(rest.taken) + _normalize_diagonal(_diagonalize(rest))
+
+
+def _torsion_rows(log, m, pivots):
+    """(j, row j of U mod a, a) for each (j, a) of ``pivots`` with a > 1,
+    U being the m x m product of the ``log`` (``_sparse_log_row``)."""
+    return [(j, _sparse_log_row(log, m, j, a), a) for j, a in pivots if a > 1]
 
 
 def _membership_rows(sparse_rows):
     """(torsion, zero): w lies in the integer column span of the matrix A
     whose rows are the {col: nonzero value} dicts ``sparse_rows``, which
-    are used up, iff u . w is divisible by a for each (u, a) in
+    are used up, iff u . w is divisible by a for each (j, u, a) in
     ``torsion`` and is 0 for each u in ``zero``; each u is a row of U, as
     its (index, nonzero entry) pairs.
 
@@ -731,16 +735,24 @@ def _membership_rows(sparse_rows):
     eliminator; its column operations leave the span alone, and U A V is
     diagonal up to order.  So the rows of U that decide are those of the
     pivots a_j > 1, mod a_j and in ``_diagonalize``'s order (no divisor
-    chain is needed), and those of the rows that end up zero: empty from
-    the start, emptied by a Schur update or left over when the columns
-    run out.  Each is a backward pass over the log (``_apply_log``).
+    chain is needed, ``_torsion_rows``), and those of the rows that end up
+    zero: every row that neither phase pivoted on, in ascending order.
     """
     m = len(sparse_rows)
     log = []
-    _, rest = _eliminate_unit_pivots(sparse_rows, log)
-    diag = _diagonalize(rest, log)
-    torsion = [(_sparse_log_row(log, m, j, a), a) for j, a in zip(rest.taken, diag) if a > 1]
-    return torsion, [_sparse_log_row(log, m, j) for j in rest.ids]
+    rest = _eliminate_unit_pivots(sparse_rows, log)
+    diag = [1] * len(rest.taken) + _diagonalize(rest, log)  # unit pivots first
+    pivoted = set(rest.taken)
+    return (_torsion_rows(log, m, zip(rest.taken, diag)),
+            [_sparse_log_row(log, m, j) for j in range(m) if j not in pivoted])
+
+
+def _coordinate_rows(a: IntMatrix):
+    """(d, ``_torsion_rows`` of (j, d_j)) for the Smith form U * A * V =
+    diag(d) of ``a``: the cokernel's moduli and coordinate rows, read off
+    the row log; its min-|value| pivot rule fixes U, and so the residues."""
+    s = smith_normal_form(a)
+    return s.d, _torsion_rows(s.row_log, a.rows, enumerate(s.d))
 
 
 def eliminate(v, b, p):

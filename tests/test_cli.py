@@ -333,6 +333,21 @@ def test_verify_smtt_outside_apc_is_a_hypothesis_violation(tmp_path, capsys):
     assert "FAIL" not in out + err
 
 
+def test_verify_alt_product_outside_apc_is_a_hypothesis_violation(tmp_path, capsys):
+    # RP^2 coned from 7 plus a disjoint tetrahedron: beta~_0 = 1, so its
+    # 1- and 2-skeleta are not APC; at dimension 0 only the free part of
+    # K_0 fails the identity
+    path = tmp_path / "cone_tetra.txt"
+    path.write_text("".join(" ".join(map(str, f)) + "\n" for f in CONE_TETRA_FACETS))
+    for dim in (1, 2):
+        code, out, err = run_cli(capsys, "--facets", str(path), "verify", "alt-product", "--dim", str(dim))
+        assert (code, out) == (3, "")
+        assert err == (f"hypothesis violation: the {dim}-skeleton is not acyclic in positive "
+                       "codimension: the matrix-tree identities do not apply\n")
+    code, rep, _ = run_json(capsys, "--facets", str(path), "verify", "alt-product", "--dim", "0")
+    assert (code, rep["result"]["verdict"]) == (5, "FAIL")
+
+
 def test_python_m_simpcrit_runs_from_a_checkout():
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))

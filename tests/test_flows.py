@@ -6,11 +6,13 @@ from itertools import combinations, product
 import pytest
 from test_acceptance import RP2_FACETS, linial_meshulam
 from test_critical import LM_PDET
+from test_intlinalg import check_coordinate_rows
 from test_trees import lm_moore
 
 from simpcrit import flows, intlinalg
 from simpcrit.complexes import SimplicialComplex
 from simpcrit.critical import (
+    _laplacian_rows,
     _theta_indices,
     critical_group_direct,
     critical_group_reduced,
@@ -1008,6 +1010,32 @@ def test_equivalent_matches_lattice_membership_in_every_dimension():
                     assert equivalent(comp, i, a, b) is want, (comp, i)
                     assert equivalent(comp, i, b, a) is want, (comp, i)
                 assert equivalent(comp, i, a, linked)
+
+
+def test_unit_phase_packs_no_empty_row():
+    # rows empty from the start (an isolated vertex, the top dimension)
+    # and rows that a Schur update empties are dropped, with a log or not
+    empty = emptied = 0
+    for comp in equivalent_fixtures():
+        for i in range(-1, comp.dim + 1):
+            for log in (None, []):
+                rows = _laplacian_rows(comp, i)
+                start = sum(map(bool, rows))
+                rest = intlinalg._eliminate_unit_pivots(rows, log)
+                assert 0 not in rest.ints, (comp, i)
+            empty += len(rows) - start
+            emptied += start - len(rest.taken) - len(rest.ids)
+    assert (empty, emptied) == (268, 43)
+
+
+def test_coordinate_rows_on_reduced_laplacians():
+    seen = 0
+    for comp in equivalent_fixtures():
+        for i in range(comp.dim + 1):
+            tree = find_torsion_free_tree(comp, i)
+            if tree is not None:
+                seen += check_coordinate_rows(reduced_laplacian(comp, i, tree))
+    assert seen == 18
 
 
 def test_equivalent_builds_its_image_test_once_with_no_smith_form(snf_calls, monkeypatch):

@@ -292,7 +292,8 @@ def sparse_rows(a):
 def check_unit_elimination(a):
     """The sparse phase stops only when no entry is +-1, and its pivot
     count plus the dense phase's factors are the Smith form's."""
-    units, rest = _eliminate_unit_pivots(sparse_rows(a))
+    rest = _eliminate_unit_pivots(sparse_rows(a))
+    units = len(rest.taken)
     assert not any(x in (1, -1) for v in rest.ints for x in rest.unpack(v))
     assert (1,) * units + _normalize_diagonal(_diagonalize(rest)) == smith_normal_form(a).d
 
@@ -318,8 +319,8 @@ def test_unit_elimination_revisits_updated_rows():
     # (0, 0) turns it into [0, -1, -10], whose -1 is found only because
     # the update pushes row 1 again
     a = IntMatrix(2, 3, [[1, 2, 5], [2, 3, 0]])
-    units, rest = _eliminate_unit_pivots(sparse_rows(a))
-    assert (units, rest.ints) == (2, [])
+    rest = _eliminate_unit_pivots(sparse_rows(a))
+    assert (rest.taken, rest.ints) == ([0, 1], [])
     check_unit_elimination(a)
 
 
@@ -335,7 +336,7 @@ def plain_unit_pivots(sparse_rows):
             cols.setdefault(c, set()).add(r)
     heap = [(len(row), r) for r, row in rows.items()]
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         length, pr = heapq.heappop(heap)
         prow = rows.get(pr)
@@ -369,17 +370,17 @@ def plain_unit_pivots(sparse_rows):
         for cc in prow:
             if not cols[cc]:
                 del cols[cc]
-        units += 1
-    return units, _PackedRows(rows.values())
+        pivots.append(pr)
+    return pivots, _PackedRows(rows.values())
 
 
 def test_unit_elimination_matches_plain_bookkeeping(monkeypatch):
-    # the same pivots, so the same pivot count and the same packed remainder
+    # the same pivots, so the same pivot rows and the same packed remainder
     def same(rows):
-        units, rest = _eliminate_unit_pivots(copy.deepcopy(rows))
+        rest = _eliminate_unit_pivots(copy.deepcopy(rows))
         want, want_rest = plain_unit_pivots(copy.deepcopy(rows))
-        assert (units, rest.ints) == (want, want_rest.ints)
-        return units, rest
+        assert (rest.taken, rest.ints) == (want, want_rest.ints)
+        return rest
 
     rng = random.Random(20261020)
     for trial in range(60):
@@ -398,7 +399,7 @@ def test_unit_elimination_matches_plain_bookkeeping(monkeypatch):
         tree = find_torsion_free_tree(comp, 1)
         critical.critical_group_reduced(comp, 1, tree)
     assert len(seen) == 10
-    assert any(same(rows)[1].ints for rows in seen)
+    assert any(same(rows).ints for rows in seen)
 
 
 # ---- the packed diagonalization against the list-row one it replaced --------
@@ -726,32 +727,82 @@ def test_lattice_membership_against_brute_force():
             assert a.apply(x) == v
 
 
-def test_membership_rows_decide_the_column_lattice():
-    # the rows of U off the logged sparse eliminator against the Smith
-    # form's solve, on seeded matrices with torsion, zero rows and zero
-    # columns; w runs over image vectors, image vectors moved along one
-    # axis, and random vectors
+def membership_cases():
+    """150 seeded matrices with torsion, zero rows and zero columns, each
+    with 12 vectors w: image vectors, image vectors moved along one axis,
+    and random vectors."""
     rng = random.Random(31)
-    with_torsion = with_zero = 0
     for trial in range(150):
         m, n = rng.randint(1, 12), rng.randint(1, 12)
         values = ((-1, 1), (-3, -1, 1, 1, 2, 5), (-2, 2, 3, 4, 6))[trial % 3]
         a = sparse_matrix(rng, m, n, rng.uniform(0.05, 0.8), values)
-        torsion, zero = intlinalg._membership_rows(sparse_rows(a))
-        with_torsion += bool(torsion)
-        with_zero += bool(zero)
-        assert all(t > 1 for _, t in torsion)
+        ws = []
         for _ in range(4):
             v = a.apply([rng.randint(-3, 3) for _ in range(n)])
             k, step = rng.randrange(m), rng.choice((1, 2, 3, 6))
             moved = [x + step * (j == k) for j, x in enumerate(v)]
-            for w in (v, moved, [rng.randint(-3, 3) for _ in range(m)]):
-                def dot(u):
-                    return sum(x * w[k] for k, x in u)
+            ws += [v, moved, [rng.randint(-3, 3) for _ in range(m)]]
+        yield a, ws
 
-                member = all(dot(u) % t == 0 for u, t in torsion) and not any(map(dot, zero))
-                assert member is (lattice_membership(a, w) is not None), (a, w)
+
+def test_membership_rows_decide_the_column_lattice():
+    # the rows of U off the logged sparse eliminator against the Smith
+    # form's solve
+    with_torsion = with_zero = 0
+    for a, ws in membership_cases():
+        torsion, zero = intlinalg._membership_rows(sparse_rows(a))
+        with_torsion += bool(torsion)
+        with_zero += bool(zero)
+        assert all(t > 1 for _, _, t in torsion)
+        for w in ws:
+            def dot(u):
+                return sum(x * w[k] for k, x in u)
+
+            member = all(dot(u) % t == 0 for _, u, t in torsion) and not any(map(dot, zero))
+            assert member is (lattice_membership(a, w) is not None), (a, w)
     assert (with_torsion, with_zero) == (67, 89)
+
+
+def test_membership_rows_are_pinned():
+    # the torsion rows with their pivots and the zero rows, in order, on
+    # the seeded matrices and on L_1 of LM(12, 0.5, 1) and LM(9, 0.5, 2);
+    # the digest was taken before the zero rows were derived as the rows
+    # that no phase pivots on
+    inputs = [sparse_rows(a) for a, _ in membership_cases()]
+    for n, seed in ((12, 1), (9, 2)):
+        tri_rng = random.Random(seed)
+        tris = [t for t in combinations(range(1, n + 1), 3) if tri_rng.random() < 0.5]
+        comp = SimplicialComplex.from_facets(list(combinations(range(1, n + 1), 2)) + tris)
+        inputs.append(critical._laplacian_rows(comp, 1))
+    out = []
+    for rows in inputs:
+        torsion, zero = intlinalg._membership_rows(rows)
+        out.append(([(tuple(u), t) for _, u, t in torsion], [tuple(u) for u in zero]))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "346ca1ea0ce52cbcbf576ce0137bddf5aefb90777dbec7008ebdf296cef6e806"
+
+
+def check_coordinate_rows(a):
+    """``_coordinate_rows`` gives the Smith form's d and, for each d_j > 1,
+    row j of its U mod d_j, the U that ``_log_rows`` builds whole."""
+    s = smith_normal_form(a)
+    d, rows = intlinalg._coordinate_rows(a)
+    assert d == s.d
+    got = [(j, [(k, x % t) for k, x in u if x % t], t) for j, u, t in rows]
+    want = [(j, [(k, x % t) for k, x in enumerate(s.u.data[j]) if x % t], t)
+            for j, t in enumerate(s.d) if t > 1]
+    assert got == want
+    return bool(rows)
+
+
+def test_coordinate_rows_are_rows_of_the_smith_forms_u():
+    rng = random.Random(37)
+    with_torsion = 0
+    for trial in range(60):
+        m, n = rng.randint(1, 10), rng.randint(1, 10)
+        values = ((-1, 1), (-3, -1, 1, 1, 2, 5), (-2, 2, 3, 4, 6))[trial % 3]
+        with_torsion += check_coordinate_rows(sparse_matrix(rng, m, n, rng.uniform(0.1, 0.8), values))
+    assert with_torsion == 29
 
 
 # ---- rank --------------------------------------------------------------------
